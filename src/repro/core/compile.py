@@ -2,11 +2,11 @@
 
 The paper's translucency promise is that reflection must cost nothing
 while unused -- yet interpreted dispatch still walks the graph
-component-by-component, paying a routing lookup, a supervision check and
-an observability hook at every hop.  This module is the classic
-interpreter->compiler move applied to that walk (RAFDA separates
-application logic from dispatch policy; OpenHPS compiles positioning
-pipelines into process networks): maximal *linear* chains of
+component-by-component, paying a routing lookup and a
+``receive_batch``/``produce_batch`` hand-off at every hop.  This module
+is the classic interpreter->compiler move applied to that walk (RAFDA
+separates application logic from dispatch policy; OpenHPS compiles
+positioning pipelines into process networks): maximal *linear* chains of
 single-in/single-out components are collapsed into a
 :class:`FusedChain` -- a flat, pre-resolved call list executed with one
 routing lookup per chain instead of one per hop.
@@ -93,8 +93,8 @@ class FusedChain:
     a metrics hub installed the per-component counters advance
     identically -- including the nested ``errors`` increments an
     exception unwinds through.  Only the hand-off *between* members is
-    flattened: no ``receive``/``produce``/dispatch frames, no routing
-    lookup, no per-hop seam checks.
+    flattened: no ``receive_batch``/``produce_batch``/dispatch frames,
+    no routing lookup, no per-hop seam checks.
     """
 
     __slots__ = (
@@ -175,225 +175,42 @@ class FusedChain:
             self._fused_counter = registry.counter("graph_fused_dispatches")
         return instruments
 
-    # -- execution (per-datum path) -------------------------------------------
-
-    def run_datum(
-        self,
-        graph: "ProcessingGraph",
-        datum: Datum,
-        hub: Optional["ObservabilityHub"],
-    ) -> None:
-        """Run one datum through the flat call list.
-
-        Mirrors depth-first interpreted delivery exactly: a member that
-        fans a datum out into several results hands them back to
-        interpreted dispatch (``graph._route``) so each result still
-        propagates fully before the next, and a mid-delivery epoch bump
-        decompiles the chain in flight.
-        """
-        if hub is not None:
-            if hub.tracing:
-                # Tracing flipped on in place (without re-install): the
-                # plan is stale by definition; fall back entirely.
-                self._bail_datum(graph, datum, 0, hub)
-            else:
-                self._run_datum_hub(graph, datum, hub)
-            return
-        graph._fused_dispatches += 1
-        epoch = self.epoch
-        ops = self._ops
-        for index, (fn, caps, screen, name) in enumerate(ops):
-            if graph._plan_epoch != epoch:
-                self._bail_datum(graph, datum, index, None)
-                return
-            if screen is not None and datum.kind not in screen:
-                # Interpreted routing would find no entry for this
-                # kind: the datum stops here, silently.
-                return
-            result = fn(datum)
-            if result is None:
-                return
-            if result.__class__ is Datum or isinstance(result, Datum):
-                if result.kind not in caps:
-                    raise _capability_error(self.steps[index][0], result)
-                if not result.producer:
-                    result = result.from_producer(name)
-                datum = result
-            else:
-                self._fan_out(graph, index, result, None)
-                return
-        graph._route(ops[-1][3], datum)
-
-    def _run_datum_hub(
-        self,
-        graph: "ProcessingGraph",
-        datum: Datum,
-        hub: "ObservabilityHub",
-    ) -> None:
-        """Per-datum execution with live (non-tracing) metrics."""
-        graph._fused_dispatches += 1
-        epoch = self.epoch
-        ops = self._ops
-        instruments = self._hub_instruments(hub)
-        self._fused_counter.inc()
-        time_fn = hub._time
-        index = 0
-        try:
-            for index, (fn, caps, screen, name) in enumerate(ops):
-                if graph._plan_epoch != epoch:
-                    self._bail_datum(graph, datum, index, hub)
-                    return
-                if screen is not None and datum.kind not in screen:
-                    return
-                items_in, items_out, _errors, latency = instruments[index]
-                items_in.inc()
-                start = time_fn()
-                result = fn(datum)
-                latency.observe(time_fn() - start)
-                if result is None:
-                    return
-                if result.__class__ is Datum or isinstance(result, Datum):
-                    if result.kind not in caps:
-                        raise _capability_error(self.steps[index][0], result)
-                    if not result.producer:
-                        result = result.from_producer(name)
-                    items_out.inc()
-                    datum = result
-                else:
-                    self._fan_out(graph, index, result, items_out)
-                    return
-            graph._route(ops[-1][3], datum)
-        except Exception:
-            # Interpreted delivery is nested: an exception raised at (or
-            # below) member k unwinds through every enclosing delivery
-            # boundary, incrementing each member's error counter.
-            for j in range(index + 1):
-                instruments[j][2].inc()
-            raise
-
-    def _fan_out(
-        self,
-        graph: "ProcessingGraph",
-        index: int,
-        result: Any,
-        items_out: Any,
-    ) -> None:
-        """A member returned several datums: stamp + check each result,
-        then continue depth-first through interpreted dispatch, exactly
-        as ``process`` + ``produce`` would -- item by item, so a
-        capability violation on a later item still routes the earlier
-        ones first (interpreted ``process`` loops ``produce``)."""
-        comp, _fn, _accepts, caps, name = self.steps[index]
-        route = graph._route
-        for item in result:
-            if item.kind not in caps:
-                raise _capability_error(comp, item)
-            if not item.producer:
-                item = item.from_producer(name)
-            if items_out is not None:
-                items_out.inc()
-            route(name, item)
-
-    def _bail_datum(
-        self,
-        graph: "ProcessingGraph",
-        datum: Datum,
-        index: int,
-        hub: Optional["ObservabilityHub"],
-    ) -> None:
-        """Decompile in flight: resume interpreted dispatch at ``index``.
-
-        At ``index == 0`` the head's delivery mirrors what the
-        interpreted routing loop would have done with its *hoisted*
-        seam references -- bare or hub delivery, never supervised: a
-        chain only exists because no supervisor was installed when the
-        route memo was built, and interpreted dispatch does not consult
-        a supervisor installed mid-loop either.
-        """
-        if index:
-            # Re-route from the last completed member through the *live*
-            # tables -- identical to what its ``produce`` would do now.
-            graph._route(self.steps[index - 1][4], datum)
-            return
-        comp, _fn, _accepts, _caps, name = self.steps[0]
-        if graph._components.get(name) is not comp:  # pragma: no cover
-            # Defensive: removal always bumps the topology version, so
-            # the routing loops skip the stale entry before the chain
-            # is ever entered.
-            return
-        if hub is None:
-            comp.receive(self.ports[0], datum)
-        else:
-            hub.deliver(comp, self.ports[0], datum)
-
-    # -- execution (batched path) ----------------------------------------------
+    # -- execution ---------------------------------------------------------------
 
     def run_batch(
         self,
         graph: "ProcessingGraph",
-        datums: List[Datum],
         hub: Optional["ObservabilityHub"],
+        datums: List[Datum],
     ) -> None:
-        """Run a whole batch through the flat call list, stage by stage.
+        """Run a batch through the flat call list, stage by stage.
 
-        The batch twin of :meth:`run_datum` and the fast path the
-        scale-out runtime drains into: per member the loop is one flat
-        pass over the surviving datums (stage-major, exactly the order
+        The chain's one run routine, composed as the head's delivery in
+        the graph's route memo: per member the loop is one flat pass
+        over the surviving datums (stage-major, exactly the order
         interpreted ``receive_batch``/``produce_batch`` chains produce),
         and the chain's tail hands the final batch to
         :meth:`~repro.core.graph.ProcessingGraph.route_batch` -- one
-        routing lookup per chain per kind group.
+        routing lookup per chain per kind group.  A produced datum
+        arrives here as a batch of one.  With a (non-tracing) hub the
+        per-member counters advance as interpreted delivery would
+        advance them; a mid-delivery epoch bump decompiles the chain in
+        flight.
         """
-        if hub is not None:
-            if hub.tracing:
-                self._bail_batch(graph, datums, 0, hub)
-            else:
-                self._run_batch_hub(graph, datums, hub)
+        if hub is not None and hub.tracing:
+            # Tracing flipped on in place (without re-install): the
+            # plan is stale by definition; fall back entirely.
+            self._bail_batch(graph, datums, 0, hub)
             return
         graph._fused_dispatches += 1
+        instruments: Optional[List[Tuple[Any, Any, Any, Any]]] = None
+        time_fn: Any = None
+        if hub is not None:
+            instruments = self._hub_instruments(hub)
+            self._fused_counter.inc()
+            time_fn = hub._time
         epoch = self.epoch
         ops = self._ops
-        batch = datums
-        for index, (fn, caps, screen, name) in enumerate(ops):
-            if graph._plan_epoch != epoch:
-                self._bail_batch(graph, batch, index, None)
-                return
-            if screen is not None:
-                # Mid-chain kind screen: interpreted routing drops
-                # non-accepted kinds silently (no route entry).
-                batch = [d for d in batch if d.kind in screen]
-            out: List[Datum] = []
-            append = out.append
-            for datum in batch:
-                result = fn(datum)
-                if result is None:
-                    continue
-                if result.__class__ is Datum or isinstance(result, Datum):
-                    if result.kind not in caps:
-                        raise _capability_error(self.steps[index][0], result)
-                    if not result.producer:
-                        result = result.from_producer(name)
-                    append(result)
-                else:
-                    self._fan_into(index, result, append)
-            if not out:
-                return
-            batch = out
-        graph.route_batch(ops[-1][3], batch)
-
-    def _run_batch_hub(
-        self,
-        graph: "ProcessingGraph",
-        datums: List[Datum],
-        hub: "ObservabilityHub",
-    ) -> None:
-        """Batched execution with live (non-tracing) metrics."""
-        graph._fused_dispatches += 1
-        epoch = self.epoch
-        ops = self._ops
-        instruments = self._hub_instruments(hub)
-        self._fused_counter.inc()
-        time_fn = hub._time
         batch = datums
         index = 0
         try:
@@ -402,10 +219,15 @@ class FusedChain:
                     self._bail_batch(graph, batch, index, hub)
                     return
                 if screen is not None:
+                    # Mid-chain kind screen: interpreted routing drops
+                    # non-accepted kinds silently (no route entry).
                     batch = [d for d in batch if d.kind in screen]
-                items_in, items_out, _errors, latency = instruments[index]
-                items_in.inc(len(batch))
-                start = time_fn()
+                    if not batch:
+                        return
+                if instruments is not None:
+                    items_in, items_out, _errors, latency = instruments[index]
+                    items_in.inc(len(batch))
+                    start = time_fn()
                 out: List[Datum] = []
                 append = out.append
                 for datum in batch:
@@ -414,23 +236,26 @@ class FusedChain:
                         continue
                     if result.__class__ is Datum or isinstance(result, Datum):
                         if result.kind not in caps:
-                            raise _capability_error(
-                                self.steps[index][0], result
-                            )
+                            raise _capability_error(self.steps[index][0], result)
                         if not result.producer:
                             result = result.from_producer(name)
                         append(result)
                     else:
                         self._fan_into(index, result, append)
-                latency.observe(time_fn() - start)
-                items_out.inc(len(out))
+                if instruments is not None:
+                    latency.observe(time_fn() - start)
+                    items_out.inc(len(out))
                 if not out:
                     return
                 batch = out
             graph.route_batch(ops[-1][3], batch)
         except Exception:
-            for j in range(index + 1):
-                instruments[j][2].inc()
+            # Interpreted delivery is nested: an exception raised at (or
+            # below) member k unwinds through every enclosing delivery
+            # boundary, incrementing each member's error counter.
+            if instruments is not None:
+                for j in range(index + 1):
+                    instruments[j][2].inc()
             raise
 
     def _fan_into(
@@ -452,14 +277,26 @@ class FusedChain:
         index: int,
         hub: Optional["ObservabilityHub"],
     ) -> None:
-        """Decompile a batch in flight: resume interpreted dispatch
-        (see :meth:`_bail_datum` for the ``index == 0`` contract)."""
+        """Decompile a batch in flight: resume interpreted dispatch.
+
+        Past the head, the batch is re-routed from the last completed
+        member through the *live* tables -- identical to what its
+        ``produce_batch`` would do now.  At ``index == 0`` the head's
+        delivery mirrors what the delivery composed for its memo entry
+        would have been -- bare or hub, never supervised: a chain only
+        exists because no supervisor was installed when the memo entry
+        was built, and an in-flight routing loop keeps the deliveries it
+        started with.
+        """
         if index:
             graph.route_batch(self.steps[index - 1][4], batch)
             return
         comp, _fn, _accepts, _caps, name = self.steps[0]
         if graph._components.get(name) is not comp:  # pragma: no cover
-            return  # defensive: see _bail_datum
+            # Defensive: removal always bumps the topology version, so
+            # the routing loop skips the stale entry before the chain
+            # is ever entered.
+            return
         if hub is None:
             comp.receive_batch(self.ports[0], batch)
         else:
@@ -471,8 +308,9 @@ class CompiledPlan:
 
     ``chains`` maps a chain's *head* component name to its
     :class:`FusedChain`; routing consults it when (re)building route
-    memo entries, so steady-state dispatch pays nothing for the plan
-    beyond one ``is None`` check per entry.  ``fallback_reason`` is the
+    memo entries, composing the chain's :meth:`FusedChain.run_batch`
+    as the head's delivery, so steady-state dispatch pays nothing for
+    the plan.  ``fallback_reason`` is the
     global gate that suppressed fusion (or ``None``), and ``excluded``
     records why individual components stayed interpreted -- the
     translucency surface ``psl.compiled_plans()`` renders.

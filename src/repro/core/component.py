@@ -92,9 +92,10 @@ class ProcessingComponent(abc.ABC):
     """A node in the processing graph.
 
     Subclasses declare ports and implement :meth:`process`.  All data
-    movement goes through :meth:`receive` (inbound, called by the graph)
-    and :meth:`produce` (outbound, called by the implementation), so the
-    feature interception chain and graph observation see everything.
+    movement goes through :meth:`receive_batch` (inbound, called by the
+    graph; by default it loops :meth:`receive`) and :meth:`produce`
+    (outbound, called by the implementation), so the feature
+    interception chain and graph observation see everything.
 
     ``pcl_node`` marks components that *merge or re-derive* data by role
     (fusion engines, particle filters): the Process Channel Layer treats
@@ -172,6 +173,21 @@ class ProcessingComponent(abc.ABC):
 
     def state_restore(self, state: Dict[str, Any]) -> None:
         """Reinstall state captured by :meth:`state_snapshot`."""
+
+    def export_target_state(self, target_id: str) -> Any:
+        """Remove and return the state kept for one tracked target.
+
+        The warm-handoff seam: a lane migrating to another engine
+        carries what components remember per target, so the
+        destination's components resume where the source's stopped.
+        Components without per-target state return None (the default);
+        the returned value must pickle, because process shards send it
+        over a pipe.
+        """
+        return None
+
+    def install_target_state(self, target_id: str, state: Any) -> None:
+        """Reinstall state removed by :meth:`export_target_state`."""
 
     def public_methods(self) -> List[str]:
         """All public methods, including ones added by features."""
@@ -252,7 +268,11 @@ class ProcessingComponent(abc.ABC):
     # -- data flow -----------------------------------------------------------
 
     def receive(self, port_name: str, datum: Datum) -> None:
-        """Deliver one datum to an input port (called by the graph)."""
+        """Deliver one datum to an input port.
+
+        The graph delivers through :meth:`receive_batch`, whose default
+        loops this; the hub and the supervisor call it per datum.
+        """
         port = self._inputs.get(port_name)
         if port is None:
             self.input_port(port_name)  # raises with the right message
@@ -283,10 +303,11 @@ class ProcessingComponent(abc.ABC):
     def receive_batch(self, port_name: str, datums: Sequence[Datum]) -> None:
         """Deliver a batch of datums to one input port.
 
-        The batch seam of the scale-out runtime: the graph's
-        :meth:`~repro.core.graph.ProcessingGraph.route_batch` hands a
-        whole batch over in one call.  The default implementation simply
-        loops :meth:`receive`, so every component is batch-safe without
+        The graph's delivery seam: its one routing loop,
+        :meth:`~repro.core.graph.ProcessingGraph.route_batch`, hands a
+        whole batch over in one call (a produced datum is a batch of
+        one).  The default implementation simply loops
+        :meth:`receive`, so every component is batch-safe without
         opting in; batch-aware components (see
         :class:`FunctionComponent`, :class:`ApplicationSink`) override
         it to hoist per-datum overhead out of the loop and to propagate

@@ -29,10 +29,15 @@ of derived, lazily rebuilt indexes used on the per-datum hot path:
 * cached **reachability** (``descendants``/``ancestors``) for the
   acyclicity check in :meth:`connect`.
 
-On top of the per-datum path, :meth:`ProcessingGraph.route_batch` routes
-whole batches: route resolution happens once per ``(producer, kind)``
-group and consumers receive through the ``receive_batch`` seam, which is
-what the scale-out runtime's ingestion queues drain into.
+Routing has one loop, :meth:`ProcessingGraph.route_batch`; a produced
+datum is a batch of one.  Route resolution happens once per
+``(producer, kind)`` group, and each memo entry carries its consumer's
+**composed delivery** -- ``consumer.receive_batch``, the hub's or the
+supervisor's ``deliver_batch``, or the run routine of the fused chain
+the consumer heads -- built once when the entry is memoized, so the
+loop body is one ``deliver(group)`` call with no branch on hub,
+supervisor or chain.  The scale-out runtime's ingestion queues drain
+into the same loop.
 
 All of them are invalidated by a single monotonically increasing
 **topology version** bumped by every structural mutation
@@ -45,14 +50,15 @@ component construction, which is what makes the memo sound.
 On top of the indexes sits the **compiled dispatch plan**
 (:mod:`repro.core.compile`): maximal linear chains of
 single-in/single-out components are fused into
-:class:`~repro.core.compile.FusedChain` super-steps, and route-memo
-entries carry the fused chain (or ``None``) alongside the consumer, so
-steady-state routing jumps a whole chain with one lookup.  The plan is
-keyed on a **plan epoch** bumped by every structural mutation *and* by
-the reflection seams that leave the topology alone -- feature
+:class:`~repro.core.compile.FusedChain` super-steps, and a consumer
+heading a chain gets the chain's run routine as its composed delivery,
+so steady-state routing jumps a whole chain with one lookup.  The plan
+is keyed on a **plan epoch** bumped by every structural mutation *and*
+by the reflection seams that leave the topology alone -- feature
 attach/detach, hub/supervisor install, observer (un)subscription --
-via :meth:`ProcessingGraph.invalidate_plan`.  Whenever reflection is
-live, routing falls back to the interpreted walk.
+via :meth:`ProcessingGraph.invalidate_plan`, which also drops the route
+memo, so the next route recomposes every delivery.  Whenever reflection
+is live, routing falls back to the interpreted walk.
 """
 
 from __future__ import annotations
@@ -99,9 +105,12 @@ class Connection:
 #: input port name, and the port's accept-set frozen for O(1) matching.
 RouteEntry = Tuple[ProcessingComponent, str, FrozenSet[str]]
 
-#: One memoized route: the live consumer, the input port name, and the
-#: fused chain headed by that consumer (``None`` -> interpreted hop).
-MemoEntry = Tuple[ProcessingComponent, str, Optional[FusedChain]]
+#: A consumer's composed delivery: called with a same-kind group of
+#: datums, it runs that consumer's whole hand-off for them.
+Delivery = Callable[[List[Datum]], None]
+
+#: One memoized route: the live consumer and its composed delivery.
+MemoEntry = Tuple[ProcessingComponent, Delivery]
 
 
 class GraphObserver:
@@ -203,8 +212,8 @@ class ProcessingGraph(ComponentObserver):
         """
         previous = self._instrumentation
         self._instrumentation = hub
-        # Fusion eligibility (tracing gate) and the chains' cached hub
-        # instruments both depend on which hub is installed.
+        # Fusion eligibility (tracing gate), the chains' cached hub
+        # instruments and the composed deliveries depend on the hub.
         self.invalidate_plan()
         if hub is not None:
             hub.topology_changed(
@@ -227,8 +236,7 @@ class ProcessingGraph(ComponentObserver):
         Returns the previously installed supervisor.  While one is
         installed every delivery crosses
         :meth:`~repro.robustness.supervision.Supervisor.deliver`; while
-        none is, routing is the bare fast path plus one ``is None``
-        check per routed datum.
+        none is, the composed deliveries do not mention it at all.
         """
         previous = self._supervisor
         if previous is not None:
@@ -360,7 +368,8 @@ class ProcessingGraph(ComponentObserver):
         Bumped-epoch comparison is what lets an in-flight
         :class:`~repro.core.compile.FusedChain` detect mid-delivery
         mutation and decompile on the spot; the route memo is dropped
-        with the plan because its entries embed the chains.  Called by
+        with the plan because its entries embed the chains and the
+        deliveries composed from the hub and the supervisor.  Called by
         every structural mutation (via :meth:`_invalidate`) and by the
         non-structural reflection seams: feature attach/detach
         (:meth:`component_reconfigured`), hub/supervisor install,
@@ -428,12 +437,14 @@ class ProcessingGraph(ComponentObserver):
     def _route_entries(
         self, producer: str, kind: str
     ) -> Tuple[MemoEntry, ...]:
-        # Consult the compiled plan while building the memo entry: a
-        # consumer heading a fused chain carries its chain, so the hot
-        # loops pay one ``is None`` check to jump the whole chain.
+        # Compose each consumer's delivery while building its memo
+        # entry, so the routing loop never branches on hub, supervisor
+        # or chain.  Installing either seam drops the memo (via
+        # invalidate_plan): an in-flight loop keeps the deliveries it
+        # started with, and the next route composes fresh ones.
         chains = self._compiled_plan().chains
         entries = tuple(
-            (consumer, port_name, chains.get(consumer.name))
+            (consumer, self._compose_delivery(consumer, port_name, chains))
             for consumer, port_name, accepts in self._routing_table().get(
                 producer, ()
             )
@@ -441,6 +452,45 @@ class ProcessingGraph(ComponentObserver):
         )
         self._route_memo[(producer, kind)] = entries
         return entries
+
+    def _compose_delivery(
+        self,
+        consumer: ProcessingComponent,
+        port_name: str,
+        chains: Mapping[str, FusedChain],
+    ) -> Delivery:
+        """One consumer's delivery, composed from the seams installed now.
+
+        Plain closures rather than :func:`functools.partial`: a deep
+        delivery cascade then stays on the interpreter's inlined
+        Python-to-Python calls instead of nesting a C frame per hop.
+        """
+        hub = self._instrumentation
+        supervisor = self._supervisor
+        chain = chains.get(consumer.name)
+        if supervisor is not None:
+            # The supervisor wraps the hub, so error counters keep
+            # recording; chains never compile under supervision.
+
+            def deliver(group: List[Datum]) -> None:
+                supervisor.deliver_batch(consumer, port_name, group, hub)
+
+        elif chain is not None:
+
+            def deliver(group: List[Datum]) -> None:
+                chain.run_batch(self, hub, group)
+
+        elif hub is not None:
+
+            def deliver(group: List[Datum]) -> None:
+                hub.deliver_batch(consumer, port_name, group)
+
+        else:
+
+            def deliver(group: List[Datum]) -> None:
+                consumer.receive_batch(port_name, group)
+
+        return deliver
 
     def _adjacency(
         self,
@@ -773,58 +823,8 @@ class ProcessingGraph(ComponentObserver):
         self._route(component.name, datum)
 
     def _route(self, producer: str, datum: Datum) -> None:
-        entries = self._route_memo.get((producer, datum.kind))
-        if entries is None:
-            entries = self._route_entries(producer, datum.kind)
-        if not entries:
-            return
-        # The entry tuple is a snapshot: consumers connected *during*
-        # this delivery wait for the next datum (same as the pre-index
-        # edge-list snapshot).  If a reentrant mutation bumps the
-        # version mid-loop, stale entries whose consumer has left the
-        # graph are skipped -- removal semantics are checked against the
-        # live component table, exactly as the linear scan did.
-        version = self._version
-        components = self._components
-        hub = self._instrumentation
-        supervisor = self._supervisor
-        if supervisor is not None:
-            # Supervised delivery: the supervisor wraps each consumer's
-            # receive (and the hub, when installed, stays inside the
-            # wrap so error counters keep recording) in the policy.
-            # Chains are never compiled under supervision, so the memo
-            # entries here always carry ``None``.
-            for consumer, port_name, _chain in entries:
-                if (
-                    version != self._version
-                    and components.get(consumer.name) is not consumer
-                ):
-                    continue
-                supervisor.deliver(consumer, port_name, datum, hub)
-        elif hub is None:
-            for consumer, port_name, chain in entries:
-                if (
-                    version != self._version
-                    and components.get(consumer.name) is not consumer
-                ):
-                    continue
-                if chain is not None:
-                    chain.run_datum(self, datum, None)
-                else:
-                    consumer.receive(port_name, datum)
-        else:
-            for consumer, port_name, chain in entries:
-                if (
-                    version != self._version
-                    and components.get(consumer.name) is not consumer
-                ):
-                    continue
-                if chain is not None:
-                    chain.run_datum(self, datum, hub)
-                else:
-                    hub.deliver(consumer, port_name, datum)
-
-    # -- batched delivery (scale-out runtime) ------------------------------------
+        """Route one produced datum: a batch of one."""
+        self.route_batch(producer, [datum])
 
     def _dispatch_batch(
         self, component: ProcessingComponent, datums: List[Datum]
@@ -850,64 +850,54 @@ class ProcessingGraph(ComponentObserver):
     def route_batch(self, producer: str, datums: List[Datum]) -> None:
         """Route a batch of datums from ``producer`` in one pass.
 
-        The routing table and the per-``(producer, kind)`` route memo
-        are resolved once per kind-group instead of once per datum, and
-        each consumer receives its whole group through the
-        :meth:`~repro.core.component.ProcessingComponent.receive_batch`
-        seam.  Supervision and observability semantics are preserved by
-        construction: with a supervisor installed every datum still
-        crosses :meth:`~repro.robustness.supervision.Supervisor
-        .deliver_batch` (per-datum isolation), and with flow tracing on
-        the hub delivers per datum so every trace keeps its own context.
+        The graph's only routing loop.  The routing table and the
+        per-``(producer, kind)`` route memo are resolved once per kind
+        group instead of once per datum, and each consumer takes the
+        whole group through the delivery composed for its memo entry
+        (see :meth:`_route_entries`).  Supervision and
+        observability semantics are preserved by construction: with a
+        supervisor installed every datum still crosses
+        :meth:`~repro.robustness.supervision.Supervisor.deliver`
+        (per-datum isolation), and with flow tracing on the hub
+        delivers per datum so every trace keeps its own context.
 
         Ordering: datums of one batch reach each consumer in submission
         order (per-route FIFO), but the batch moves through the graph
         stage-by-stage -- across fan-out branches the interleaving
-        differs from per-datum routing.  Sink outputs and trace hops are
-        the same multiset either way (pinned by
+        differs from routing the datums one at a time.  Sink outputs
+        and trace hops are the same multiset either way (pinned by
         ``tests/test_property_runtime.py``).
         """
         if not datums:
             return
-        # Group by kind, preserving order within each group.  Ingestion
-        # batches are usually homogeneous, so the single-kind fast path
-        # avoids the grouping dict entirely.
-        first_kind = datums[0].kind
-        groups: List[Tuple[str, List[Datum]]]
-        if all(datum.kind == first_kind for datum in datums):
-            groups = [(first_kind, datums)]
-        else:
+        kind = datums[0].kind
+        if len(datums) > 1 and not all(datum.kind == kind for datum in datums):
+            # Mixed kinds: each kind's group, in submission order, is
+            # routed as a batch of its own.  Produced datums (batches of
+            # one) and homogeneous ingestion batches skip the grouping.
             by_kind: Dict[str, List[Datum]] = {}
             for datum in datums:
                 by_kind.setdefault(datum.kind, []).append(datum)
-            groups = list(by_kind.items())
-        memo = self._route_memo
+            for group in by_kind.values():
+                self.route_batch(producer, group)
+            return
+        entries = self._route_memo.get((producer, kind))
+        if entries is None:
+            entries = self._route_entries(producer, kind)
+        # The entry tuple is a snapshot: consumers connected *during*
+        # this delivery wait for the next route.  If a reentrant
+        # mutation bumps the version mid-loop, stale entries whose
+        # consumer has left the graph are skipped -- removal is checked
+        # against the live component table.
         version = self._version
         components = self._components
-        hub = self._instrumentation
-        supervisor = self._supervisor
-        for kind, group in groups:
-            entries = memo.get((producer, kind))
-            if entries is None:
-                entries = self._route_entries(producer, kind)
-            if not entries:
+        for consumer, deliver in entries:
+            if (
+                version != self._version
+                and components.get(consumer.name) is not consumer
+            ):
                 continue
-            for consumer, port_name, chain in entries:
-                if (
-                    version != self._version
-                    and components.get(consumer.name) is not consumer
-                ):
-                    continue
-                if supervisor is not None:
-                    supervisor.deliver_batch(
-                        consumer, port_name, group, hub
-                    )
-                elif chain is not None:
-                    chain.run_batch(self, group, hub)
-                elif hub is None:
-                    consumer.receive_batch(port_name, group)
-                else:
-                    hub.deliver_batch(consumer, port_name, group)
+            deliver(datums)
 
     # -- observation ----------------------------------------------------------------
 

@@ -60,16 +60,30 @@ class PerPos:
         self.framework = Framework()
         self._sensors: List[Tuple[SimulatedSensor, SourceComponent, Callable]] = []
         self._sharding: Optional[ShardedEngine] = None
-        self._sharding_registration: Optional[ServiceRegistration] = None
-        self._gateway_registration: Optional[ServiceRegistration] = None
-        self._durability_registration: Optional[ServiceRegistration] = None
-        self._scenario_registration: Optional[ServiceRegistration] = None
+        # Live registrations of the optional subsystems, by interface.
+        self._registrations: Dict[str, ServiceRegistration] = {}
         # The layers are themselves services, as in the OSGi realisation.
         registry = self.framework.registry
         registry.register("perpos.ProcessingGraph", self.graph)
         registry.register("perpos.ProcessStructureLayer", self.psl)
         registry.register("perpos.ProcessChannelLayer", self.pcl)
         registry.register("perpos.PositioningLayer", self.positioning)
+
+    def _register(self, interface: str, service: Any) -> None:
+        """Register ``service`` as the live ``interface`` subsystem.
+
+        Any earlier registration is dropped first: a stale one would
+        hand registry consumers a replaced, closed or detached object.
+        """
+        self._unregister(interface)
+        self._registrations[interface] = self.framework.registry.register(
+            interface, service
+        )
+
+    def _unregister(self, interface: str) -> None:
+        registration = self._registrations.pop(interface, None)
+        if registration is not None:
+            registration.unregister()
 
     # -- observability -----------------------------------------------------------
 
@@ -97,13 +111,12 @@ class PerPos:
             tracing=tracing,
         )
         self.graph.set_instrumentation(hub)
-        registry_service = self.framework.registry
-        if registry_service.find_service("perpos.ObservabilityHub") is None:
-            registry_service.register("perpos.ObservabilityHub", hub)
+        self._register("perpos.ObservabilityHub", hub)
         return hub
 
     def disable_observability(self) -> Optional[ObservabilityHub]:
         """Remove the hub (recorded metrics stay readable on it)."""
+        self._unregister("perpos.ObservabilityHub")
         return self.graph.set_instrumentation(None)
 
     # -- supervision -------------------------------------------------------------
@@ -125,13 +138,12 @@ class PerPos:
         """
         supervisor = Supervisor(policy, time_fn=lambda: self.clock.now)
         self.graph.set_supervisor(supervisor)
-        registry_service = self.framework.registry
-        if registry_service.find_service("perpos.Supervisor") is None:
-            registry_service.register("perpos.Supervisor", supervisor)
+        self._register("perpos.Supervisor", supervisor)
         return supervisor
 
     def disable_supervision(self) -> Optional[Supervisor]:
         """Remove the supervisor (its failure records stay readable)."""
+        self._unregister("perpos.Supervisor")
         return self.graph.set_supervisor(None)
 
     # -- scale-out runtime -------------------------------------------------------
@@ -149,26 +161,26 @@ class PerPos:
         The engine shares the middleware's simulation clock, so
         ``engine.start(interval)`` drain rounds interleave
         deterministically with sensor pumping.  Re-enabling replaces
-        the previous engine (and discards its lanes); stop it first if
-        it was started.
+        the previous engine (and discards its lanes), as
+        :meth:`disable_runtime` followed by a fresh enable would.
         """
-        previous = self.graph.engine
-        if previous is not None:
-            previous.stop()
+        self.disable_runtime()
         engine = PositioningEngine(
             self.graph, clock=self.clock, scheduler=scheduler
         )
-        registry_service = self.framework.registry
-        if registry_service.find_service("perpos.PositioningEngine") is None:
-            registry_service.register("perpos.PositioningEngine", engine)
+        self._register("perpos.PositioningEngine", engine)
         return engine
 
     def disable_runtime(self) -> Optional[PositioningEngine]:
         """Remove the engine (its lane statistics stay readable).
 
         A started engine is stopped first, so no drain rounds fire
-        after the runtime is disabled.
+        after the runtime is disabled.  Durable state journals through
+        the engine, so an installed durability manager is detached too
+        (its store's contents stay readable).
         """
+        self.disable_durability()
+        self._unregister("perpos.PositioningEngine")
         engine = self.graph.set_engine(None)
         if engine is not None:
             engine.stop()
@@ -209,13 +221,7 @@ class PerPos:
         )
         self._sharding = engine
         engine.durability = self.graph.durability
-        # Re-register unconditionally: a stale registration would hand
-        # registry consumers the previous, now-closed coordinator.
-        if self._sharding_registration is not None:
-            self._sharding_registration.unregister()
-        self._sharding_registration = self.framework.registry.register(
-            "perpos.ShardedEngine", engine
-        )
+        self._register("perpos.ShardedEngine", engine)
         return engine
 
     def disable_sharding(self) -> Optional[ShardedEngine]:
@@ -227,9 +233,7 @@ class PerPos:
         """
         engine = self._sharding
         self._sharding = None
-        if self._sharding_registration is not None:
-            self._sharding_registration.unregister()
-            self._sharding_registration = None
+        self._unregister("perpos.ShardedEngine")
         if engine is not None:
             engine.close()
         return engine
@@ -282,13 +286,7 @@ class PerPos:
             **kwargs,  # type: ignore[arg-type]
         )
         self.graph.set_gateway(gateway)
-        # Re-register unconditionally: a stale registration would hand
-        # registry consumers the previous, now-closed gateway.
-        if self._gateway_registration is not None:
-            self._gateway_registration.unregister()
-        self._gateway_registration = self.framework.registry.register(
-            "perpos.IngestionGateway", gateway
-        )
+        self._register("perpos.IngestionGateway", gateway)
         manager = self.graph.durability
         if manager is not None:
             dlq_state = manager.load_dlq_state()
@@ -305,9 +303,7 @@ class PerPos:
         the two) no longer forfeits payloads awaiting replay-after-fix.
         """
         gateway = self.graph.set_gateway(None)
-        if self._gateway_registration is not None:
-            self._gateway_registration.unregister()
-            self._gateway_registration = None
+        self._unregister("perpos.IngestionGateway")
         if gateway is not None:
             manager = self.graph.durability
             if manager is not None:
@@ -356,21 +352,13 @@ class PerPos:
         manager.attach()
         if self._sharding is not None:
             self._sharding.durability = manager
-        # Re-register unconditionally: a stale registration would hand
-        # registry consumers the previous, now-detached manager.
-        if self._durability_registration is not None:
-            self._durability_registration.unregister()
-        self._durability_registration = self.framework.registry.register(
-            "perpos.DurabilityManager", manager
-        )
+        self._register("perpos.DurabilityManager", manager)
         return manager
 
     def disable_durability(self) -> Optional[DurabilityManager]:
         """Detach durable state (the store's contents stay readable)."""
         manager = self.graph.durability
-        if self._durability_registration is not None:
-            self._durability_registration.unregister()
-            self._durability_registration = None
+        self._unregister("perpos.DurabilityManager")
         if self._sharding is not None and self._sharding.durability is manager:
             self._sharding.durability = None
         if manager is not None:
@@ -389,22 +377,14 @@ class PerPos:
         """
         self.graph.set_scenario(runner)
         self.graph.set_control(getattr(runner, "control", None))
-        # Re-register unconditionally: a stale registration would hand
-        # registry consumers the previous runner.
-        if self._scenario_registration is not None:
-            self._scenario_registration.unregister()
-        self._scenario_registration = self.framework.registry.register(
-            "perpos.ScenarioRunner", runner
-        )
+        self._register("perpos.ScenarioRunner", runner)
         return runner
 
     def disable_scenario(self) -> Optional[Any]:
         """Remove the scenario runner and control loop surfaces."""
         runner = self.graph.set_scenario(None)
         self.graph.set_control(None)
-        if self._scenario_registration is not None:
-            self._scenario_registration.unregister()
-            self._scenario_registration = None
+        self._unregister("perpos.ScenarioRunner")
         return runner
 
     def trace(self, position: Optional[Datum]) -> Optional[FlowTrace]:

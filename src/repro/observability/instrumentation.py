@@ -3,10 +3,11 @@
 The hub is the single instrumentation point the
 :class:`~repro.core.graph.ProcessingGraph` consults on its hot path.  It
 is installed with ``graph.set_instrumentation(hub)`` (or, one level up,
-``PerPos.enable_observability()``); while no hub is installed the graph
-pays exactly one ``is None`` check per event, which is what keeps the
-disabled default within the overhead budget measured by
-``benchmarks/bench_overhead_ablation.py``.
+``PerPos.enable_observability()``), and the graph composes
+:meth:`ObservabilityHub.deliver_batch` into every route it memoizes;
+while no hub is installed the graph pays exactly one ``is None`` check
+per produced datum, which is what keeps the disabled default within the
+overhead budget measured by ``benchmarks/bench_overhead_ablation.py``.
 
 Per event the hub records:
 
@@ -126,9 +127,8 @@ class ObservabilityHub:
             datum = with_trace(datum, trace)
         return datum
 
-    def deliver(self, consumer: Any, port: str, datum: Datum) -> None:
-        """Deliver ``datum`` into ``consumer`` under instrumentation."""
-        name = consumer.name
+    def _delivery_instruments(self, name: str) -> Tuple[Any, Any, Any]:
+        """``(items_in, errors, hop_latency_s)`` for one consumer."""
         instruments = self._in_instruments.get(name)
         if instruments is None:
             registry = self.registry
@@ -137,7 +137,16 @@ class ObservabilityHub:
                 registry.counter("errors", component=name),
                 registry.histogram("hop_latency_s", component=name),
             )
-        items_in, errors, latency = instruments
+        return instruments
+
+    def deliver(self, consumer: Any, port: str, datum: Datum) -> None:
+        """Deliver ``datum`` into ``consumer`` under instrumentation.
+
+        The per-datum step behind :meth:`deliver_batch` while tracing
+        (each datum's trace becomes the context its outputs inherit)
+        and inside a supervised delivery.
+        """
+        items_in, errors, latency = self._delivery_instruments(consumer.name)
         items_in.inc()
         self._context.append(trace_of(datum) if self.tracing else None)
         start = self._time()
@@ -155,29 +164,22 @@ class ObservabilityHub:
     ) -> None:
         """Deliver a batch into ``consumer`` under instrumentation.
 
-        With tracing enabled this falls back to per-datum
-        :meth:`deliver` so every datum keeps its own trace context --
-        batching must never coarsen flow traces.  With tracing off the
-        whole batch crosses ``consumer.receive_batch`` in one call:
-        ``items_in`` still counts every datum, while ``hop_latency_s``
-        records one observation for the whole batch (per-datum hop
-        times are meaningless inside a fused batch).
+        The graph composes this as a consumer's delivery while a hub is
+        installed; a produced datum arrives as a batch of one.  With
+        tracing enabled this falls back to per-datum :meth:`deliver` so
+        every datum keeps its own trace context -- batching must never
+        coarsen flow traces.  With tracing off the whole batch crosses
+        ``consumer.receive_batch`` in one call: ``items_in`` still
+        counts every datum, while ``hop_latency_s`` records one
+        observation for the whole batch (per-datum hop times are
+        meaningless inside a fused batch).
         """
         if self.tracing:
             deliver = self.deliver
             for datum in datums:
                 deliver(consumer, port, datum)
             return
-        name = consumer.name
-        instruments = self._in_instruments.get(name)
-        if instruments is None:
-            registry = self.registry
-            instruments = self._in_instruments[name] = (
-                registry.counter("items_in", component=name),
-                registry.counter("errors", component=name),
-                registry.histogram("hop_latency_s", component=name),
-            )
-        items_in, errors, latency = instruments
+        items_in, errors, latency = self._delivery_instruments(consumer.name)
         items_in.inc(len(datums))
         start = self._time()
         try:

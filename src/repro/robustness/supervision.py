@@ -24,10 +24,11 @@ first-class seams, the same move the middleware makes for structure
 
 The :class:`Supervisor` is installed on a graph with
 ``graph.set_supervisor(...)`` (or ``PerPos.enable_supervision()``, which
-injects the simulation clock).  While *no* supervisor is installed the
-graph's dispatch loop is byte-for-byte the PR-2 fast path plus one
-``is None`` check per routed datum -- supervision is free when off,
-exactly like observability.
+injects the simulation clock).  The graph composes
+:meth:`Supervisor.deliver_batch` into every route it memoizes while a
+supervisor is installed; while *none* is, the composed deliveries do
+not mention supervision at all -- it is free when off, exactly like
+observability.
 """
 
 from __future__ import annotations
@@ -190,12 +191,14 @@ SupervisionListener = Callable[[str, str, Optional[FailureRecord]], None]
 class Supervisor:
     """Applies a :class:`SupervisionPolicy` at the delivery boundary.
 
-    The graph hands every supervised delivery to :meth:`deliver`, which
-    wraps ``consumer.receive`` (or ``hub.deliver`` when observability is
-    installed, so error counters and latency histograms keep recording)
-    in the policy.  All clocking is injected via ``time_fn`` --
-    ``PerPos.enable_supervision`` passes the simulation clock, so
-    window expiry and half-open probes are fully deterministic.
+    The graph routes every supervised group through
+    :meth:`deliver_batch`, which hands each datum to :meth:`deliver`;
+    that wraps ``consumer.receive`` (or ``hub.deliver`` when
+    observability is installed, so error counters and latency
+    histograms keep recording) in the policy.  All clocking is
+    injected via ``time_fn`` -- ``PerPos.enable_supervision`` passes
+    the simulation clock, so window expiry and half-open probes are
+    fully deterministic.
     """
 
     def __init__(
@@ -263,9 +266,7 @@ class Supervisor:
         breaker admits, records, and isolates *per delivery*, so a
         poisoned datum in the middle of a batch affects only itself and
         a half-open probe still admits exactly one datum at a time.
-        The batch fast path is therefore only taken while no supervisor
-        is installed -- with one, batching amortises route resolution
-        but delivery stays per datum.
+        Batching amortises route resolution; delivery stays per datum.
         """
         deliver = self.deliver
         for datum in datums:

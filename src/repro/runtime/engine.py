@@ -411,9 +411,17 @@ class PositioningEngine:
         The lane is *removed* from this engine — that removal is the
         handoff barrier: no further submits or drains can touch it
         here, and every pending datum travels inside the payload, so
-        :meth:`install_lane` on the destination loses nothing.
+        :meth:`install_lane` on the destination loses nothing.  The
+        target's per-target component state (see
+        :meth:`~repro.core.component.ProcessingComponent
+        .export_target_state`) travels too, keyed by component name.
         """
         lane = self.lane(target_id)
+        components = {}
+        for component in self.graph.components():
+            state = component.export_target_state(target_id)
+            if state is not None:
+                components[component.name] = state
         payload = {
             "target": target_id,
             "source": lane.source.name,
@@ -421,20 +429,30 @@ class PositioningEngine:
             "submitted": lane.submitted,
             "batches": lane.batches,
             "queue": lane.queue.state_snapshot(),
+            "components": components,
         }
         self.untrack(target_id)
         return payload
 
     def install_lane(self, payload: Dict[str, Any]) -> TargetLane:
         """Install a lane exported from another engine, state intact."""
+        target_id = payload["target"]
+        # Resolve the state's components first, so a graph lacking one
+        # fails before the lane exists here.
+        holders = [
+            (self.graph.component(name), state)
+            for name, state in payload["components"].items()
+        ]
         queue_state = payload["queue"]
         lane = self.track(
-            payload["target"],
+            target_id,
             payload["source"],
             capacity=queue_state["capacity"],
             policy=queue_state["policy"],
             weight=payload["weight"],
         )
+        for component, state in holders:
+            component.install_target_state(target_id, state)
         lane.queue.state_restore(queue_state)
         lane.submitted = payload["submitted"]
         lane.batches = payload["batches"]

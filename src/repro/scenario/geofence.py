@@ -14,7 +14,7 @@ on any execution mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.component import InputPort, OutputPort, ProcessingComponent
 from repro.core.data import Datum
@@ -128,6 +128,20 @@ class GeofenceComponent(ProcessingComponent):
     def alerts(self) -> List[Dict[str, Any]]:
         """The bounded alert ring, newest last (a copy)."""
         return [dict(record) for record in self._alerts]
+
+    def export_target_state(self, target_id: str) -> Optional[Dict[str, bool]]:
+        """The target's inside/outside flags per rule, removed here."""
+        inside = self._inside
+        state = {
+            rule.name: inside.pop((target_id, rule.name))
+            for rule in self.rules
+            if (target_id, rule.name) in inside
+        }
+        return state or None
+
+    def install_target_state(self, target_id: str, state: Dict[str, bool]) -> None:
+        for rule, inside in state.items():
+            self._inside[(target_id, rule)] = inside
 
     def state_snapshot(self) -> Dict[str, Any]:
         return {

@@ -13,6 +13,9 @@ from repro.core.component import (
 from repro.core.data import Datum
 from repro.core.features import ComponentFeature
 from repro.core.graph import GraphError, GraphObserver, ProcessingGraph
+from repro.observability.instrumentation import ObservabilityHub
+from repro.observability.metrics import MetricsRegistry
+from repro.robustness.supervision import SupervisionPolicy, Supervisor
 
 
 def passthrough(name, accepts=("x",), capabilities=("x",), **kwargs):
@@ -385,6 +388,67 @@ class TestTopologyVersionAndIndexes:
         source.inject(Datum("x", 1, 0.0))
         source.inject(Datum("x", 2, 0.0))
         assert [d.payload for d in late.received] == [1, 2]
+
+
+class TestSeamInstalledMidFanOut:
+    """A consumer installs a hub or a supervisor while the graph fans
+    one datum out to ``a``, ``b`` and ``c``: the rest of that in-flight
+    fan-out keeps the delivery it started with, and the next datum is
+    delivered under the new seam."""
+
+    def build(self, install):
+        graph = ProcessingGraph()
+        source = SourceComponent("s", ("x",))
+        installed = []
+
+        def install_once(datum):
+            if not installed:
+                installed.append(install(graph))
+            return None
+
+        sinks = [ApplicationSink("b", ("x",)), ApplicationSink("c", ("x",))]
+        graph.add(source)
+        graph.add(FunctionComponent("a", ("x",), ("x",), fn=install_once))
+        for sink in sinks:
+            graph.add(sink)
+        for name in ("a", "b", "c"):
+            graph.connect("s", name)  # "a" is delivered first (edge order)
+        return source, sinks, installed
+
+    def test_hub_installed_mid_fan_out(self):
+        def install(graph):
+            hub = ObservabilityHub(MetricsRegistry(), tracing=False)
+            graph.set_instrumentation(hub)
+            return hub
+
+        source, sinks, installed = self.build(install)
+        source.inject(Datum("x", 1, 0.0))
+        hub = installed[0]
+        assert [len(sink.received) for sink in sinks] == [1, 1]
+        assert hub.component_stats("b") == {}
+        assert hub.component_stats("c") == {}
+        source.inject(Datum("x", 2, 0.0))
+        assert [len(sink.received) for sink in sinks] == [2, 2]
+        for name in ("a", "b", "c"):
+            assert hub.component_stats(name)["items_in"] == 1
+
+    def test_supervisor_installed_mid_fan_out(self):
+        def install(graph):
+            supervisor = Supervisor(SupervisionPolicy(mode="quarantine"))
+            graph.set_supervisor(supervisor)
+            supervisor.quarantine("b")
+            return supervisor
+
+        source, sinks, installed = self.build(install)
+        source.inject(Datum("x", 1, 0.0))
+        supervisor = installed[0]
+        # The in-flight fan-out kept its bare delivery: quarantined "b"
+        # still received the datum.
+        assert [len(sink.received) for sink in sinks] == [1, 1]
+        assert supervisor.skipped_count("b") == 0
+        source.inject(Datum("x", 2, 0.0))
+        assert [len(sink.received) for sink in sinks] == [1, 2]
+        assert supervisor.skipped_count("b") == 1
 
 
 class TestObservers:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.data import Datum, Kind
+from repro.core.graph import GraphError
 from repro.core.middleware import PerPos
 from repro.sensors.base import SensorReading, SimulatedSensor
 
@@ -119,6 +120,37 @@ class TestServicesIntegration:
             registry.find_service("perpos.PositioningLayer")
             is mw.positioning
         )
+
+    @pytest.mark.parametrize(
+        "subsystem, interface",
+        [
+            ("observability", "perpos.ObservabilityHub"),
+            ("supervision", "perpos.Supervisor"),
+            ("runtime", "perpos.PositioningEngine"),
+        ],
+    )
+    def test_registry_serves_only_the_live_subsystem(self, subsystem, interface):
+        mw = PerPos()
+        registry = mw.framework.registry
+        enable = getattr(mw, f"enable_{subsystem}")
+        first = enable()
+        assert registry.find_service(interface) is first
+        second = enable()
+        assert second is not first
+        live = [registry.get_service(r) for r in registry.get_references(interface)]
+        assert live == [second]
+        if subsystem == "runtime":
+            manager = mw.enable_durability()
+            assert mw.psl.snapshot()["bytes"] > 0
+            assert registry.find_service("perpos.DurabilityManager") is manager
+        assert getattr(mw, f"disable_{subsystem}")() is second
+        assert registry.find_service(interface) is None
+        # Durable state journals through the engine, so it leaves with
+        # the runtime instead of lingering half-attached.
+        assert mw.durability is None
+        assert registry.find_service("perpos.DurabilityManager") is None
+        with pytest.raises(GraphError, match="no durability manager"):
+            mw.psl.snapshot()
 
     def test_create_provider_registers_in_layer(self):
         mw = PerPos()

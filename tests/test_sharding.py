@@ -10,6 +10,7 @@ the middleware/report integration, and the multiprocessing executor
 """
 
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -42,6 +43,7 @@ from repro.runtime import (
     stable_hash,
 )
 from repro.runtime.sharding import build_scheduler, materialise_graph
+from repro.scenario import GPS_KIND, GeofenceRule, build_city_graph
 
 
 def datum(value, kind="x", t=0.0):
@@ -910,3 +912,55 @@ class TestRebalance:
                 for _sink, kind, payload, target in engine.sink_outputs()
             )
             assert outputs == expected
+
+
+class TestMigrationCarriesTargetState:
+    """A migrating lane takes its target's geofence inside/outside flags
+    along, so the new shard neither re-raises an enter nor misses an
+    exit -- sharded alerts equal the single engine's."""
+
+    RULE = GeofenceRule("zone", 100.0, 100.0, 50.0, trigger="both")
+    # outside, enter, (migrate) still inside, exit
+    PATH = ((500.0, 0), (100.0, 1), (110.0, 2), (500.0, 3))
+
+    @staticmethod
+    def gps(x, tick):
+        return Datum(GPS_KIND, (x, 100.0, 5.0), float(tick), attributes={"tick": tick})
+
+    def single_alerts(self):
+        graph = build_city_graph((self.RULE,))
+        engine = PositioningEngine(graph)
+        engine.track("t1", "city-src")
+        for x, tick in self.PATH:
+            engine.submit("t1", self.gps(x, tick))
+        engine.drain_all()
+        return [d.payload for d in graph.component("city-alerts").received]
+
+    @staticmethod
+    def sharded_alerts(engine):
+        return [
+            payload
+            for sink, _kind, payload, _target in engine.sink_outputs()
+            if sink == "city-alerts"
+        ]
+
+    @pytest.mark.parametrize(
+        "executor",
+        ["inprocess", pytest.param("multiprocessing", marks=pytest.mark.multiproc)],
+    )
+    def test_inside_target_migrates_without_spurious_alert(self, executor):
+        recipe_with_rule = partial(build_city_graph, (self.RULE,))
+        with ShardedEngine(recipe_with_rule, 2, executor=executor) as engine:
+            engine.track("t1", "city-src", shard=0)
+            for x, tick in self.PATH[:2]:
+                engine.submit("t1", self.gps(x, tick))
+            engine.drain_all()
+            engine.migrate_target("t1", 1)
+            engine.submit("t1", self.gps(*self.PATH[2]))
+            engine.drain_all()
+            assert self.sharded_alerts(engine) == [("zone", "t1", "enter", 1)]
+            engine.submit("t1", self.gps(*self.PATH[3]))
+            engine.drain_all()
+            alerts = self.sharded_alerts(engine)
+        assert alerts == [("zone", "t1", "enter", 1), ("zone", "t1", "exit", 3)]
+        assert alerts == self.single_alerts()
