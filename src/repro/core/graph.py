@@ -158,19 +158,8 @@ class ProcessingGraph(ComponentObserver):
         # Optional failure supervision; None keeps the hot path bare.
         self._supervisor: Optional["Supervisor"] = None
         # Optional scale-out runtime engine (ingestion queues + fair
-        # scheduler); inspection-only -- never consulted on the per-datum
-        # hot path.
+        # scheduler); never consulted on the per-datum hot path.
         self._engine: Optional["PositioningEngine"] = None
-        # Optional ingestion gateway (wire validation + DLQ edge layer);
-        # inspection-only, like the engine slot.
-        self._gateway: Optional[Any] = None
-        # Optional durability manager (snapshot/restore/journal store);
-        # inspection-only, like the engine and gateway slots.
-        self._durability: Optional[Any] = None
-        # Optional scenario runner + closed-loop controller set
-        # (repro.scenario); inspection-only, like the slots above.
-        self._scenario: Optional[Any] = None
-        self._control: Optional[Any] = None
         # -- derived indexes (dispatch fast path) -------------------------
         # Bumped by every structural mutation; compared by in-flight
         # routing loops to detect reentrant manipulation.
@@ -264,81 +253,12 @@ class ProcessingGraph(ComponentObserver):
         Returns the previously installed engine.  Unlike the hub and the
         supervisor the engine sits *in front of* the graph -- queues and
         the scheduler feed :meth:`route_batch` -- so installing one costs
-        the per-datum path nothing; the reference only exists so the PSL
-        and the infrastructure report can reach ingestion state.
+        the per-datum path nothing.  An engine binds itself here on
+        construction, so the PSL, the infrastructure report and a
+        durability manager built on this graph all reach the same one.
         """
         previous = self._engine
         self._engine = engine
-        return previous
-
-    @property
-    def gateway(self) -> Optional[Any]:
-        """The installed ingestion gateway, or None while the edge is off."""
-        return self._gateway
-
-    def set_gateway(self, gateway: Optional[Any]) -> Optional[Any]:
-        """Install (or, with None, remove) the ingestion gateway.
-
-        Like the engine, the gateway sits *in front of* the graph (it
-        feeds the engine's lanes, which feed :meth:`route_batch`), so
-        the slot is inspection-only: it exists so the PSL ``describe``
-        and the infrastructure report can reach wire-format, admission
-        and dead-letter state without threading a second handle around.
-        """
-        previous = self._gateway
-        self._gateway = gateway
-        return previous
-
-    @property
-    def durability(self) -> Optional[Any]:
-        """The installed durability manager, or None while state is volatile."""
-        return self._durability
-
-    def set_durability(self, durability: Optional[Any]) -> Optional[Any]:
-        """Install (or, with None, remove) the durability manager.
-
-        Inspection-only like the engine and gateway slots: the manager
-        journals through the engine and persists through its store; the
-        graph reference only exists so the PSL and the infrastructure
-        report can reach snapshot/journal state.
-        """
-        previous = self._durability
-        self._durability = durability
-        return previous
-
-    @property
-    def scenario(self) -> Optional[Any]:
-        """The installed scenario runner, or None while no scenario runs."""
-        return self._scenario
-
-    def set_scenario(self, scenario: Optional[Any]) -> Optional[Any]:
-        """Install (or, with None, remove) the scenario runner.
-
-        Inspection-only like the engine/gateway/durability slots: the
-        runner drives the engine from outside; the graph reference only
-        exists so ``psl.scenario()`` and the infrastructure report can
-        reach workload state (devices, churn, bursts, progress).
-        """
-        previous = self._scenario
-        self._scenario = scenario
-        return previous
-
-    @property
-    def control(self) -> Optional[Any]:
-        """The installed control loop, or None while adaptation is manual."""
-        return self._control
-
-    def set_control(self, control: Optional[Any]) -> Optional[Any]:
-        """Install (or, with None, remove) the closed-loop controller set.
-
-        Inspection-only: controllers actuate through the existing
-        adaptation seams (``set_backpressure``, EnTracked thresholds,
-        supervision policies, shard rebalancing); the slot exists so
-        ``psl.controllers()`` and the report can read the decision
-        ledger.
-        """
-        previous = self._control
-        self._control = control
         return previous
 
     # -- derived indexes -------------------------------------------------------

@@ -53,37 +53,45 @@ class PerPos:
 
     def __init__(self, clock: Optional[SimulationClock] = None) -> None:
         self.clock = clock or SimulationClock()
+        self.framework = Framework()
+        registry = self.framework.registry
         self.graph = ProcessingGraph()
-        self.psl = ProcessStructureLayer(self.graph)
+        self.psl = ProcessStructureLayer(self.graph, registry)
         self.pcl = ProcessChannelLayer(self.graph)
         self.positioning = PositioningLayer()
-        self.framework = Framework()
         self._sensors: List[Tuple[SimulatedSensor, SourceComponent, Callable]] = []
-        self._sharding: Optional[ShardedEngine] = None
         # Live registrations of the optional subsystems, by interface.
         self._registrations: Dict[str, ServiceRegistration] = {}
         # The layers are themselves services, as in the OSGi realisation.
-        registry = self.framework.registry
         registry.register("perpos.ProcessingGraph", self.graph)
         registry.register("perpos.ProcessStructureLayer", self.psl)
         registry.register("perpos.ProcessChannelLayer", self.pcl)
         registry.register("perpos.PositioningLayer", self.positioning)
 
-    def _register(self, interface: str, service: Any) -> None:
-        """Register ``service`` as the live ``interface`` subsystem.
+    # -- optional subsystems -----------------------------------------------------
+    # The registry is the one record of which subsystem is live.  enable_X
+    # checks preconditions, runs disable_X, builds and registers; whatever
+    # needs a runtime (durability, the gateway feeding it) leaves with it.
 
-        Any earlier registration is dropped first: a stale one would
-        hand registry consumers a replaced, closed or detached object.
-        """
-        self._unregister(interface)
+    def _register(self, interface: str, service: Any) -> None:
         self._registrations[interface] = self.framework.registry.register(
             interface, service
         )
 
-    def _unregister(self, interface: str) -> None:
+    def _unregister(self, interface: str) -> Any:
+        """Withdraw the live ``interface`` subsystem; returns it (or None)."""
         registration = self._registrations.pop(interface, None)
-        if registration is not None:
-            registration.unregister()
+        if registration is None:
+            return None
+        service = self.framework.registry.get_service(registration.reference)
+        registration.unregister()
+        return service
+
+    def _disable_gateway_of(self, engine: Any) -> None:
+        """Disable the gateway feeding ``engine``, which is going away."""
+        gateway = self.gateway
+        if gateway is not None and gateway.engine is engine:
+            self.disable_gateway()
 
     # -- observability -----------------------------------------------------------
 
@@ -105,6 +113,7 @@ class PerPos:
         replaces the previous hub; pass an explicit ``registry`` to keep
         accumulating into existing series.
         """
+        self.disable_observability()
         hub = ObservabilityHub(
             registry=registry,
             time_fn=lambda: self.clock.now,
@@ -136,6 +145,7 @@ class PerPos:
         deterministic.  Re-enabling replaces the previous supervisor
         (and its failure history).
         """
+        self.disable_supervision()
         supervisor = Supervisor(policy, time_fn=lambda: self.clock.now)
         self.graph.set_supervisor(supervisor)
         self._register("perpos.Supervisor", supervisor)
@@ -175,13 +185,16 @@ class PerPos:
         """Remove the engine (its lane statistics stay readable).
 
         A started engine is stopped first, so no drain rounds fire
-        after the runtime is disabled.  Durable state journals through
-        the engine, so an installed durability manager is detached too
-        (its store's contents stay readable).
+        after the runtime is disabled.  The gateway feeding the engine
+        and the durability manager journalling through it leave with it
+        (the DLQ is persisted first; the store's contents stay
+        readable).
         """
+        engine = self.graph.engine
+        self._disable_gateway_of(engine)
         self.disable_durability()
         self._unregister("perpos.PositioningEngine")
-        engine = self.graph.set_engine(None)
+        self.graph.set_engine(None)
         if engine is not None:
             engine.stop()
         return engine
@@ -191,7 +204,7 @@ class PerPos:
     @property
     def sharding(self) -> Optional[ShardedEngine]:
         """The installed sharded engine, or None while sharding is off."""
-        return self._sharding
+        return self.framework.registry.find_service("perpos.ShardedEngine")
 
     def enable_sharding(
         self, recipe: GraphRecipe, shards: int, **kwargs: object
@@ -210,17 +223,14 @@ class PerPos:
         ``supervision``, ...).  Re-enabling closes the previous
         coordinator first.
         """
-        previous = self._sharding
-        if previous is not None:
-            previous.close()
+        self.disable_sharding()
         engine = ShardedEngine(
             recipe,
             shards,
             clock=self.clock,
             **kwargs,  # type: ignore[arg-type]
         )
-        self._sharding = engine
-        engine.durability = self.graph.durability
+        engine.durability = self.durability
         self._register("perpos.ShardedEngine", engine)
         return engine
 
@@ -229,12 +239,12 @@ class PerPos:
 
         Worker processes (multiprocessing executor) terminate, so live
         shard state becomes unreadable; the coordinator's own counters
-        and failure records stay readable on the returned object.
+        and failure records stay readable on the returned object.  The
+        gateway feeding the coordinator leaves with it.
         """
-        engine = self._sharding
-        self._sharding = None
-        self._unregister("perpos.ShardedEngine")
+        engine = self._unregister("perpos.ShardedEngine")
         if engine is not None:
+            self._disable_gateway_of(engine)
             engine.close()
         return engine
 
@@ -243,7 +253,7 @@ class PerPos:
     @property
     def gateway(self) -> Optional[IngestionGateway]:
         """The installed ingestion gateway, or None while the edge is off."""
-        return self.graph.gateway
+        return self.framework.registry.find_service("perpos.IngestionGateway")
 
     def enable_gateway(
         self,
@@ -265,19 +275,20 @@ class PerPos:
         without rewiring.  Keyword arguments pass through to
         :class:`~repro.gateway.IngestionGateway` (``formats``,
         ``device_policy``, ``admission_capacity``, ``retry``,
-        ``max_age_s``, ...).  Re-enabling replaces (and closes) the
-        previous gateway.
+        ``max_age_s``, ...).  Re-enabling replaces the previous gateway
+        through :meth:`disable_gateway`, so its dead letters carry over
+        under durability.
         """
         if engine is None:
-            engine = self._sharding if self._sharding is not None else self.graph.engine
+            engine = self.sharding
+        if engine is None:
+            engine = self.graph.engine
         if engine is None:
             raise ValueError(
                 "no runtime to feed: enable_runtime() or enable_sharding()"
                 " before enable_gateway(), or pass engine= explicitly"
             )
-        previous = self.graph.gateway
-        if previous is not None:
-            previous.close()
+        self.disable_gateway()
         gateway = IngestionGateway(
             engine,
             source,
@@ -285,10 +296,10 @@ class PerPos:
             hub=lambda: self.graph.instrumentation,
             **kwargs,  # type: ignore[arg-type]
         )
-        self.graph.set_gateway(gateway)
         self._register("perpos.IngestionGateway", gateway)
-        manager = self.graph.durability
+        manager = self.durability
         if manager is not None:
+            manager.gateway = gateway
             dlq_state = manager.load_dlq_state()
             if dlq_state is not None:
                 gateway.dlq.state_restore(dlq_state)
@@ -302,12 +313,12 @@ class PerPos:
         rehydrates them -- a disable/enable cycle (or a crash between
         the two) no longer forfeits payloads awaiting replay-after-fix.
         """
-        gateway = self.graph.set_gateway(None)
-        self._unregister("perpos.IngestionGateway")
+        gateway = self._unregister("perpos.IngestionGateway")
         if gateway is not None:
-            manager = self.graph.durability
+            manager = self.durability
             if manager is not None:
                 manager.save_dlq_state(gateway.dlq.state_snapshot())
+                manager.gateway = None
             gateway.close()
         return gateway
 
@@ -316,7 +327,7 @@ class PerPos:
     @property
     def durability(self) -> Optional[DurabilityManager]:
         """The installed durability manager, or None while it is off."""
-        return self.graph.durability
+        return self.framework.registry.find_service("perpos.DurabilityManager")
 
     def enable_durability(
         self,
@@ -335,35 +346,41 @@ class PerPos:
         many journal entries.  Re-enabling detaches the previous
         manager (its store stays readable).
         """
-        engine = self.graph.engine
-        if engine is None:
+        if self.graph.engine is None:
             raise ValueError(
                 "no runtime to persist: enable_runtime() before"
                 " enable_durability()"
             )
-        previous = self.graph.durability
-        if previous is not None:
-            previous.detach()
+        self.disable_durability()
         manager = DurabilityManager(
             self.graph,
             store if store is not None else MemoryStateStore(),
             snapshot_every=snapshot_every,
         )
         manager.attach()
-        if self._sharding is not None:
-            self._sharding.durability = manager
+        manager.gateway = self.gateway
+        sharding = self.sharding
+        if sharding is not None:
+            sharding.durability = manager
         self._register("perpos.DurabilityManager", manager)
         return manager
 
     def disable_durability(self) -> Optional[DurabilityManager]:
         """Detach durable state (the store's contents stay readable)."""
-        manager = self.graph.durability
-        self._unregister("perpos.DurabilityManager")
-        if self._sharding is not None and self._sharding.durability is manager:
-            self._sharding.durability = None
+        manager = self._unregister("perpos.DurabilityManager")
         if manager is not None:
+            sharding = self.sharding
+            if sharding is not None and sharding.durability is manager:
+                sharding.durability = None
             manager.detach()
         return manager
+
+    # -- scenario ----------------------------------------------------------------
+
+    @property
+    def scenario(self) -> Optional[Any]:
+        """The installed scenario runner, or None while no scenario runs."""
+        return self.framework.registry.find_service("perpos.ScenarioRunner")
 
     def enable_scenario(self, runner: Any) -> Any:
         """Install a scenario runner (and its control loop, if any).
@@ -375,17 +392,13 @@ class PerPos:
         ``perpos.ScenarioRunner`` service registration.  Re-enabling
         replaces the previous runner.
         """
-        self.graph.set_scenario(runner)
-        self.graph.set_control(getattr(runner, "control", None))
+        self.disable_scenario()
         self._register("perpos.ScenarioRunner", runner)
         return runner
 
     def disable_scenario(self) -> Optional[Any]:
         """Remove the scenario runner and control loop surfaces."""
-        runner = self.graph.set_scenario(None)
-        self.graph.set_control(None)
-        self._unregister("perpos.ScenarioRunner")
-        return runner
+        return self._unregister("perpos.ScenarioRunner")
 
     def trace(self, position: Optional[Datum]) -> Optional[FlowTrace]:
         """The component path (with timestamps) behind a delivered datum.

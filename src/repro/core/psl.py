@@ -23,13 +23,19 @@ from typing import Any, Dict, List, Optional
 from repro.core.component import ProcessingComponent
 from repro.core.features import ComponentFeature, FeatureError
 from repro.core.graph import Connection, GraphError, ProcessingGraph
+from repro.services.registry import ServiceRegistry
 
 
 class ProcessStructureLayer:
     """Structured manipulation and inspection of the processing graph."""
 
-    def __init__(self, graph: ProcessingGraph) -> None:
+    def __init__(
+        self, graph: ProcessingGraph, registry: Optional[ServiceRegistry] = None
+    ) -> None:
         self.graph = graph
+        # Where the subsystems in front of the graph (gateway, durability,
+        # scenario) are registered; a bare PSL sees none of them.
+        self.registry = registry if registry is not None else ServiceRegistry()
 
     # -- inspection ---------------------------------------------------------
 
@@ -65,7 +71,7 @@ class ProcessStructureLayer:
                 info["ingestion"] = {
                     lane.target_id: lane.stats() for lane in lanes
                 }
-        gateway = self.graph.gateway
+        gateway = self.registry.find_service("perpos.IngestionGateway")
         if gateway is not None and gateway.source == name:
             info["gateway"] = gateway.snapshot()
         info["compiled_plans"] = self._compiled_role(name)
@@ -211,7 +217,7 @@ class ProcessStructureLayer:
         Empty while no gateway is installed -- inspection degrades
         gracefully, like :meth:`component_metrics`.
         """
-        gateway = self.graph.gateway
+        gateway = self.registry.find_service("perpos.IngestionGateway")
         return gateway.snapshot() if gateway is not None else {}
 
     def scenario(self) -> Dict[str, Any]:
@@ -221,7 +227,7 @@ class ProcessStructureLayer:
         the lane verdict totals.  Empty while no scenario is installed
         -- inspection degrades gracefully, like :meth:`gateway`.
         """
-        scenario = self.graph.scenario
+        scenario = self.registry.find_service("perpos.ScenarioRunner")
         return scenario.snapshot() if scenario is not None else {}
 
     def controllers(self) -> Dict[str, Any]:
@@ -232,7 +238,8 @@ class ProcessStructureLayer:
         surface for self-adaptation: what the system changed and why.
         Empty while no control loop is installed.
         """
-        control = self.graph.control
+        runner = self.registry.find_service("perpos.ScenarioRunner")
+        control = getattr(runner, "control", None)
         return control.snapshot() if control is not None else {}
 
     def decision_ledger(self) -> List[Dict[str, Any]]:
@@ -240,7 +247,8 @@ class ProcessStructureLayer:
 
         Empty while no control loop is installed.
         """
-        control = self.graph.control
+        runner = self.registry.find_service("perpos.ScenarioRunner")
+        control = getattr(runner, "control", None)
         return control.ledger() if control is not None else []
 
     def dead_letters(
@@ -252,7 +260,7 @@ class ProcessStructureLayer:
         attempts, state, next_attempt_s).  Empty while no gateway is
         installed.
         """
-        gateway = self.graph.gateway
+        gateway = self.registry.find_service("perpos.IngestionGateway")
         if gateway is None:
             return []
         return gateway.dead_letters(state)
@@ -267,7 +275,7 @@ class ProcessStructureLayer:
         failure).  Raises while no gateway is installed -- adaptation
         does not degrade silently, mirroring :meth:`set_backpressure`.
         """
-        gateway = self.graph.gateway
+        gateway = self.registry.find_service("perpos.IngestionGateway")
         if gateway is None:
             raise GraphError("no ingestion gateway installed")
         return gateway.replay(seq, ignore_backoff=ignore_backoff)
@@ -284,7 +292,7 @@ class ProcessStructureLayer:
         Raises while no durability manager is installed -- like
         :meth:`set_backpressure`, adaptation does not degrade silently.
         """
-        manager = self.graph.durability
+        manager = self.registry.find_service("perpos.DurabilityManager")
         if manager is None:
             raise GraphError("no durability manager installed")
         return manager.snapshot()
@@ -296,7 +304,7 @@ class ProcessStructureLayer:
         after it, and returns the number of entries replayed.  Raises
         while no durability manager is installed.
         """
-        manager = self.graph.durability
+        manager = self.registry.find_service("perpos.DurabilityManager")
         if manager is None:
             raise GraphError("no durability manager installed")
         return manager.restore()
@@ -309,7 +317,7 @@ class ProcessStructureLayer:
         durability manager is installed -- inspection degrades
         gracefully, like :meth:`component_metrics`.
         """
-        manager = self.graph.durability
+        manager = self.registry.find_service("perpos.DurabilityManager")
         return manager.migrations() if manager is not None else []
 
     # -- supervision (failure seams) -----------------------------------------

@@ -72,6 +72,11 @@ def component_seams(component: Any) -> Dict[str, Any]:
     return seams
 
 
+def _section(subsystem: Any, method: str = "snapshot") -> Any:
+    """A live subsystem's report section, or None while it is off."""
+    return getattr(subsystem, method)() if subsystem is not None else None
+
+
 def infrastructure_snapshot(middleware: PerPos) -> Dict[str, Any]:
     """Structured snapshot of the whole positioning infrastructure."""
     supervisor = middleware.graph.supervisor
@@ -93,7 +98,7 @@ def infrastructure_snapshot(middleware: PerPos) -> Dict[str, Any]:
             latest.logical_time if latest is not None else 0
         )
         channels.append(info)
-    hub = middleware.graph.instrumentation
+    scenario = middleware.scenario
     return {
         "components": components,
         "connections": [
@@ -106,55 +111,29 @@ def infrastructure_snapshot(middleware: PerPos) -> Dict[str, Any]:
         ],
         # Runtime behaviour (None while observability is disabled): the
         # live twin of the structural sections above.
-        "observability": hub.snapshot() if hub is not None else None,
+        "observability": _section(middleware.observability),
         # Failure seams (None while supervision is disabled): policy,
         # per-component breaker health, and the reified failure ring.
-        "supervision": (
-            supervisor.snapshot() if supervisor is not None else None
-        ),
+        "supervision": _section(supervisor),
         # Scale-out runtime (None while no engine is installed):
         # scheduler, drain rounds, and per-target ingestion lanes.
-        "runtime": (
-            middleware.graph.engine.snapshot()
-            if middleware.graph.engine is not None
-            else None
-        ),
+        "runtime": _section(middleware.runtime),
         # Sharded runtime (None while sharding is disabled): placement,
         # per-shard health/engine state, and contained failures.
-        "sharding": (
-            middleware.sharding.snapshot()
-            if middleware.sharding is not None
-            else None
-        ),
+        "sharding": _section(middleware.sharding),
         # Ingestion edge (None while no gateway is installed): wire
         # formats, per-adapter counters, admission queue, DLQ state.
-        "gateway": (
-            middleware.graph.gateway.snapshot()
-            if middleware.graph.gateway is not None
-            else None
-        ),
+        "gateway": _section(middleware.gateway),
         # Durable state (None while no durability manager is
         # installed): store backend, snapshot/journal counters, and
         # the warm-handoff migration history.
-        "durability": (
-            middleware.durability.describe()
-            if middleware.durability is not None
-            else None
-        ),
+        "durability": _section(middleware.durability, "describe"),
         # City scenario workload (None while no runner is installed):
         # population, churn/burst/zone counters, run progress.
-        "scenario": (
-            middleware.graph.scenario.snapshot()
-            if middleware.graph.scenario is not None
-            else None
-        ),
+        "scenario": _section(scenario),
         # Closed-loop adaptation (None while no control loop is
         # installed): controllers, decision counts, recent ledger tail.
-        "control": (
-            middleware.graph.control.snapshot()
-            if middleware.graph.control is not None
-            else None
-        ),
+        "control": _section(getattr(scenario, "control", None)),
         # Compiled dispatch plan of this middleware's graph (always
         # present: a gated plan reports its fallback reason instead of
         # chains).  Shard-private plans ride along inside "sharding".

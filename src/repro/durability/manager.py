@@ -15,8 +15,8 @@ at every drain boundary.
 :class:`DurabilityManager` ties it together: it owns the store, attaches
 the journal to the engine, auto-snapshots every ``snapshot_every``
 entries, records warm-handoff migrations, and surfaces everything to
-the PSL and the infrastructure report through the graph's durability
-slot.
+the PSL and the infrastructure report through its
+``perpos.DurabilityManager`` service registration.
 """
 
 from __future__ import annotations
@@ -261,6 +261,10 @@ class DurabilityManager:
         self.store = store
         self.snapshot_every = snapshot_every
         self.journal: Optional[DurabilityJournal] = None
+        #: The ingestion gateway whose DLQ snapshots capture and restores
+        #: reinstate; set by :class:`~repro.core.middleware.PerPos`, the
+        #: way it sets ``ShardedEngine.durability``.
+        self.gateway: Optional[Any] = None
         self.snapshots_taken = 0
         self.restores = 0
         self.last_snapshot_bytes = 0
@@ -269,7 +273,7 @@ class DurabilityManager:
     # -- lifecycle ---------------------------------------------------------
 
     def attach(self) -> None:
-        """Install the journal on the graph's engine and claim the slot."""
+        """Install the journal on the graph's engine."""
         engine = self._engine()
         self.journal = DurabilityJournal(
             self.store,
@@ -277,16 +281,13 @@ class DurabilityManager:
             snapshot_fn=self.snapshot,
         )
         engine.journal = self.journal
-        self.graph.set_durability(self)
 
     def detach(self) -> None:
-        """Remove the journal and release the graph slot; store stays."""
+        """Remove the journal from the engine; the store stays readable."""
         engine = self.graph.engine
         if engine is not None and engine.journal is self.journal:
             engine.journal = None
         self.journal = None
-        if self.graph.durability is self:
-            self.graph.set_durability(None)
         self.store.close()
 
     def _engine(self) -> "PositioningEngine":
@@ -303,9 +304,7 @@ class DurabilityManager:
     def snapshot(self) -> Dict[str, Any]:
         """Persist one full checkpoint; returns summary info."""
         engine = self._engine()
-        state = capture_state(
-            self.graph, engine, gateway=self.graph.gateway
-        )
+        state = capture_state(self.graph, engine, gateway=self.gateway)
         n_bytes = self.store.save_snapshot(encode_value(state))
         self.snapshots_taken += 1
         self.last_snapshot_bytes = n_bytes
@@ -325,7 +324,7 @@ class DurabilityManager:
         """Rebuild the engine from the store; returns replayed entries."""
         engine = self._engine()
         replayed = restore_from_store(
-            self.graph, engine, self.store, gateway=self.graph.gateway
+            self.graph, engine, self.store, gateway=self.gateway
         )
         self.restores += 1
         hub = self.graph.instrumentation

@@ -47,7 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.clock import SimulationClock
     from repro.core.graph import ProcessingGraph
     from repro.durability.journal import DurabilityJournal
-    from repro.durability.store import StateStore
 
 
 class EngineError(Exception):
@@ -457,21 +456,6 @@ class PositioningEngine:
         lane.submitted = payload["submitted"]
         lane.batches = payload["batches"]
         return lane
-
-    def restore(self, store: "StateStore") -> int:
-        """Rebuild this engine from ``store``'s latest snapshot + journal.
-
-        Crash recovery in one call: lanes are re-tracked with their
-        queue contents and counters, component/supervision/hub state is
-        reinstated, and every journal entry appended after the snapshot
-        is replayed deterministically.  Returns the number of replayed
-        entries.  Raises :class:`EngineError` when the store is empty.
-        """
-        from repro.durability.manager import restore_from_store
-
-        return restore_from_store(
-            self.graph, self, store, gateway=self.graph.gateway
-        )
 
     # -- inspection ------------------------------------------------------------
 

@@ -18,6 +18,8 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
 
 import check_regression  # noqa: E402
 
+RESULTS = Path(__file__).parent.parent / "benchmarks" / "results"
+
 
 @pytest.fixture(autouse=True)
 def _no_step_summary(monkeypatch):
@@ -355,6 +357,25 @@ class TestRegressionExits:
         base, cur = scale_artefact(4.0), scale_artefact(3.0)
         assert run(tmp_path, base, cur, min_ratio=0.7) == 0
         assert run(tmp_path, base, cur, min_ratio=0.8) == 1
+
+
+class TestCommittedArtefacts:
+    @pytest.mark.parametrize(
+        "schema",
+        ["city", "compile", "dispatch", "durability", "gateway", "scale", "shard"],
+    )
+    def test_committed_artefact_passes_its_own_gate(
+        self, schema, tmp_path, monkeypatch
+    ):
+        # The synthetic fixtures above cannot catch a table path that
+        # misses a real artefact's keys; the committed artefacts can.
+        summary = tmp_path / "summary.md"
+        monkeypatch.setenv("GITHUB_STEP_SUMMARY", str(summary))
+        artefact = str(RESULTS / f"BENCH_{schema}.json")
+        assert check_regression.main(["--pair", artefact, artefact]) == 0
+        lines = summary.read_text(encoding="utf-8").splitlines()
+        first_row = lines.index("| --- | --- | --- | --- | --- | --- | --- |") + 1
+        assert lines[first_row].startswith(f"| {schema} | ")
 
 
 class TestShardFloorIsHardwareConditional:

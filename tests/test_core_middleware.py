@@ -2,9 +2,20 @@
 
 import pytest
 
+from repro.core.component import ApplicationSink, SourceComponent
 from repro.core.data import Datum, Kind
-from repro.core.graph import GraphError
+from repro.core.graph import GraphError, ProcessingGraph
 from repro.core.middleware import PerPos
+from repro.core.report import infrastructure_snapshot
+from repro.runtime import PositioningEngine
+from repro.scenario import (
+    CityConfig,
+    CityGenerator,
+    ControlLoop,
+    ScenarioRunner,
+    build_city_graph,
+    default_controllers,
+)
 from repro.sensors.base import SensorReading, SimulatedSensor
 
 
@@ -107,6 +118,35 @@ class TestPumping:
             PerPos().run_until(1.0, step_s=0.0)
 
 
+def shard_recipe():
+    """Module-level shard recipe: src -> app on kind 'x'."""
+    graph = ProcessingGraph()
+    graph.add(SourceComponent("src", ("x",)))
+    graph.add(ApplicationSink("app", ("x",)))
+    graph.connect("src", "app")
+    return graph
+
+
+def enabler(mw, subsystem):
+    """Meet ``subsystem``'s preconditions on ``mw``; return its enable."""
+    if subsystem == "sharding":
+        return lambda: mw.enable_sharding(shard_recipe, 2)
+    if subsystem == "gateway":
+        mw.enable_runtime()
+        return lambda: mw.enable_gateway("src")
+    if subsystem == "durability":
+        mw.enable_runtime()
+    if subsystem == "scenario":
+        return lambda: mw.enable_scenario(
+            ScenarioRunner(
+                CityGenerator(CityConfig(devices=4)),
+                PositioningEngine(build_city_graph()),
+                control=ControlLoop(default_controllers()),
+            )
+        )
+    return getattr(mw, f"enable_{subsystem}")
+
+
 class TestServicesIntegration:
     def test_layers_registered_as_services(self):
         mw = PerPos()
@@ -127,24 +167,49 @@ class TestServicesIntegration:
             ("observability", "perpos.ObservabilityHub"),
             ("supervision", "perpos.Supervisor"),
             ("runtime", "perpos.PositioningEngine"),
+            ("sharding", "perpos.ShardedEngine"),
+            ("gateway", "perpos.IngestionGateway"),
+            ("durability", "perpos.DurabilityManager"),
+            ("scenario", "perpos.ScenarioRunner"),
         ],
     )
     def test_registry_serves_only_the_live_subsystem(self, subsystem, interface):
         mw = PerPos()
         registry = mw.framework.registry
-        enable = getattr(mw, f"enable_{subsystem}")
+        enable = enabler(mw, subsystem)
         first = enable()
         assert registry.find_service(interface) is first
+        assert getattr(mw, subsystem) is first
         second = enable()
         assert second is not first
         live = [registry.get_service(r) for r in registry.get_references(interface)]
         assert live == [second]
+        # Property, PSL and report all read the one live registration.
+        assert getattr(mw, subsystem) is second
+        assert infrastructure_snapshot(mw)[subsystem] is not None
+        if subsystem == "gateway":
+            assert mw.psl.gateway() == second.snapshot()
+        if subsystem == "scenario":
+            assert mw.psl.scenario() == second.snapshot()
+            assert mw.psl.controllers() == second.control.snapshot()
         if subsystem == "runtime":
             manager = mw.enable_durability()
             assert mw.psl.snapshot()["bytes"] > 0
             assert registry.find_service("perpos.DurabilityManager") is manager
         assert getattr(mw, f"disable_{subsystem}")() is second
         assert registry.find_service(interface) is None
+        assert getattr(mw, subsystem) is None
+        assert infrastructure_snapshot(mw)[subsystem] is None
+        assert mw.psl.gateway() == {}
+        assert mw.psl.scenario() == {}
+        assert mw.psl.controllers() == {}
+        assert mw.psl.migrations() == []
+        # Disable then enable is the same path as a re-enable.
+        third = enable()
+        assert registry.find_service(interface) is third
+        assert getattr(mw, subsystem) is third
+        getattr(mw, f"disable_{subsystem}")()
+        assert getattr(mw, subsystem) is None
         # Durable state journals through the engine, so it leaves with
         # the runtime instead of lingering half-attached.
         assert mw.durability is None

@@ -789,6 +789,18 @@ class TestDlqSurvivesGatewayCycles:
         assert len(records) == 1
         assert records[0]["stage"] == "format"
 
+    def test_dead_letters_survive_re_enable(self):
+        # Re-enabling goes through disable_gateway, which persists the
+        # DLQ, so a replaced gateway's dead letters carry over too.
+        pp = self.build()
+        gateway = pp.enable_gateway("src")
+        assert gateway.submit(b"\x00garbage") == REJECTED
+        assert gateway.submit(b"\x00more garbage") == REJECTED
+        reborn = pp.enable_gateway("src")
+        assert reborn is not gateway and gateway.closed
+        assert len(reborn.dead_letters()) == 2
+        assert reborn.dead_letters() == gateway.dead_letters()
+
     def test_without_durability_cycle_forfeits_dlq(self):
         pp = PerPos()
         pp.graph.add(SourceComponent("src", (POS,)))

@@ -853,6 +853,47 @@ class TestMiddlewareIntegration:
         middleware.disable_gateway()
         middleware.disable_sharding()
 
+    @pytest.mark.parametrize("runtime", ["runtime", "sharding"])
+    def test_gateway_leaves_with_the_runtime_it_feeds(self, runtime):
+        # A gateway outliving its runtime kept admitting payloads into
+        # a stopped engine's lanes, counted them as accepted, and went
+        # on feeding the old engine after a fresh enable.
+        def recipe():
+            graph = ProcessingGraph()
+            graph.add(SourceComponent("src", (POS,)))
+            graph.add(ApplicationSink("sink", (POS,), keep_last=100_000))
+            graph.connect("src", "sink", "in")
+            return graph
+
+        def enable():
+            if runtime == "runtime":
+                return middleware.enable_runtime()
+            return middleware.enable_sharding(recipe, 2)
+
+        middleware = build_middleware()
+        registry = middleware.framework.registry
+        enable()
+        gateway = middleware.enable_gateway("src", device_policy=AutoTrackPolicy())
+        getattr(middleware, f"disable_{runtime}")()
+        assert middleware.gateway is None
+        assert registry.find_service("perpos.IngestionGateway") is None
+        assert gateway.closed
+        with pytest.raises(GatewayError):
+            gateway.submit(payload())
+        assert middleware.psl.gateway() == {}
+
+        engine = enable()
+        reborn = middleware.enable_gateway("src", device_policy=AutoTrackPolicy())
+        assert reborn.engine is engine
+        assert reborn.submit(payload()) == ADMITTED
+        assert reborn.forward() == 1
+        engine.drain_all()
+        if runtime == "runtime":
+            assert len(middleware.graph.component("sink").received) == 1
+        else:
+            assert len(engine.sink_outputs()) == 1
+            middleware.disable_sharding()
+
     def test_hub_counters_and_dlq_gauges(self):
         middleware = build_middleware()
         engine = middleware.enable_runtime()
