@@ -27,7 +27,7 @@ from repro.processing.fusion import (
     VarianceWeightedFusionComponent,
 )
 from repro.processing.pipelines import build_gps_pipeline, build_wifi_pipeline
-from repro.sensors.gps import GpsReceiver, INDOOR, OPEN_SKY, SUBURBAN
+from repro.sensors.gps import GpsReceiver, OPEN_SKY, SUBURBAN
 from repro.sensors.trajectory import Waypoint, WaypointTrajectory
 from repro.sensors.wifi import WifiScanner
 

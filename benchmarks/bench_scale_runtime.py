@@ -27,8 +27,6 @@ workload either.
 
 import time
 
-import pytest
-
 from repro.core.component import (
     ApplicationSink,
     FunctionComponent,

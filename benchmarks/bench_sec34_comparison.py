@@ -28,8 +28,6 @@ unmodified stack rejects the extension outright; the PoSIM power policy
 pays a multiple of EnTracked's energy.
 """
 
-import pytest
-
 from repro.baselines.location_stack import FormatError, LocationStackMiddleware
 from repro.baselines.posim import PosimMiddleware, SensorWrapper
 from repro.core import Kind, PerPos

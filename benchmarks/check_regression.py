@@ -30,9 +30,9 @@ row (:class:`Gate`) is data:
 Ratio rows gate within-run figures (speedups, overhead factors, bytes
 per datum, normalised rates), which are runner-independent; bound rows
 re-check an artefact's own floors, ceilings and simulated-time
-correctness figures.  A missing or malformed artefact, or one lacking a
-figure its table needs, is a harness error: the tool says what went
-wrong and exits 2 (regressions exit 1).
+correctness figures.  A missing or malformed artefact, one lacking a
+figure its table needs, or one whose ratio divisor is zero, is a harness
+error: the tool says what went wrong and exits 2 (regressions exit 1).
 
 When ``$GITHUB_STEP_SUMMARY`` names a writable file (GitHub Actions
 sets it), a markdown pair/ratio/floor table of every gated figure is
@@ -424,9 +424,9 @@ def main(argv=None) -> int:
             return 2
         try:
             failures += check(baseline, current, args.min_ratio, rows)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             print(
-                f"artefact schema error in {current_path} vs"
+                f"artefact unusable: {current_path} vs"
                 f" {baseline_path}: {type(exc).__name__}: {exc}",
                 file=sys.stderr,
             )

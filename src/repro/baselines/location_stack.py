@@ -21,7 +21,7 @@ this implementation makes measurable:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.geo.wgs84 import Wgs84Position

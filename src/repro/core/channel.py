@@ -325,9 +325,6 @@ class Channel(GraphObserver):
                 errors.append((feature.name, exc))
                 if len(errors) > self.feature_error_limit:
                     del errors[: len(errors) - self.feature_error_limit]
-                hub = self.graph.instrumentation
-                if hub is not None:
-                    hub.channel_feature_error(self.id, feature.name)
 
     # -- data tree construction ----------------------------------------------------
 

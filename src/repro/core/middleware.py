@@ -270,9 +270,9 @@ class PerPos:
         otherwise this graph's :class:`PositioningEngine` (enable one
         first); pass ``engine`` explicitly to override.  The gateway
         shares the middleware's simulation clock (deterministic
-        freshness checks and DLQ backoff) and resolves the hub lazily,
-        so it follows ``enable_observability``/``disable_observability``
-        without rewiring.  Keyword arguments pass through to
+        freshness checks and DLQ backoff) and keeps its own outcome
+        counts, so it needs no observability hub.  Keyword arguments
+        pass through to
         :class:`~repro.gateway.IngestionGateway` (``formats``,
         ``device_policy``, ``admission_capacity``, ``retry``,
         ``max_age_s``, ...).  Re-enabling replaces the previous gateway
@@ -293,7 +293,6 @@ class PerPos:
             engine,
             source,
             clock=self.clock,
-            hub=lambda: self.graph.instrumentation,
             **kwargs,  # type: ignore[arg-type]
         )
         self._register("perpos.IngestionGateway", gateway)

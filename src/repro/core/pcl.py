@@ -79,22 +79,17 @@ class ProcessChannelLayer(GraphObserver):
 
     # -- derivation internals ---------------------------------------------------
 
-    def _is_pcl_node(self, name: str) -> bool:
-        """PCL nodes: data sources, merge components, and applications.
-
-        Components flagged ``pcl_node`` (fusion by role) count as merge
-        components regardless of their current in-degree.
-        """
-        return self._classify(
-            name, self.graph.upstream_map(), self.graph.downstream_map()
-        )
-
     def _classify(
         self,
         name: str,
         upstream: Mapping[str, Sequence[str]],
         downstream: Mapping[str, Sequence[str]],
     ) -> bool:
+        """PCL nodes: data sources, merge components, and applications.
+
+        Components flagged ``pcl_node`` (fusion by role) count as merge
+        components regardless of their current in-degree.
+        """
         if self.graph.component(name).pcl_node:
             return True
         if len(upstream.get(name, ())) != 1:

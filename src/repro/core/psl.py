@@ -212,7 +212,7 @@ class ProcessStructureLayer:
     def gateway(self) -> Dict[str, Any]:
         """Reflective state of the installed ingestion gateway.
 
-        Wire formats, per-adapter accept/reject counters, the admission
+        Wire formats, per-adapter outcome counters, the admission
         queue, the device-admission policy, and dead-letter statistics.
         Empty while no gateway is installed -- inspection degrades
         gracefully, like :meth:`component_metrics`.

@@ -313,7 +313,8 @@ def render_report(middleware: PerPos) -> str:
         lines.append(
             f"  snapshots_taken={durability['snapshots_taken']}"
             f" (last={durability['last_snapshot_bytes']}B),"
-            f" restores={durability['restores']},"
+            f" restores={durability['restores']}"
+            f" (replayed={durability['entries_replayed']}),"
             f" migrations={durability['migrations']}"
         )
     scenario = snapshot["scenario"]

@@ -3,11 +3,13 @@
 Everything in the engine is in-memory and dies with the process; this
 package makes *where state lives* a pluggable policy instead of engine
 logic.  A :class:`StateStore` (stdlib backends: in-memory, JSON-lines
-append log, sqlite) receives full snapshots of engine state — lanes,
-queue contents, component state, supervision, gateway dead letters,
-hub counters — plus incremental journal entries between snapshots, and
-:func:`restore_state` rebuilds a live engine from the latest snapshot
-and replays the journal deterministically.
+append log, sqlite) receives full snapshots of engine state — lanes and
+their counters, queue contents, component state, supervision, gateway
+dead letters, the hub's graph metric series — plus incremental journal
+entries between snapshots, and :func:`restore_state` rebuilds a live
+engine from the latest snapshot and replays the journal
+deterministically.  :class:`DurabilityManager` keeps the counts of its
+own activity (snapshots, restores, entries replayed, migrations).
 """
 
 from repro.durability.codec import decode_value, encode_value

@@ -1,22 +1,24 @@
 """Snapshot capture, crash-recovery restore, and the durability manager.
 
 ``capture_state`` walks the existing reflection seams -- lane stats,
-component ``state_snapshot``, supervisor breakers, gateway DLQ, hub
-metric series -- into one plain dict; ``restore_state`` rebuilds a live
-engine from that dict and replays the journal entries appended after
-it.  The replay model is deterministic re-execution: submits re-cross
-``engine.submit`` (verdicts and hub events recompute identically) and
-drain rounds re-cross the batched dispatch path via
-``engine.replay_round``, which reproduces the original per-lane batch
-sizes independent of the current scheduler cursor.  Sink state is
-captured in the snapshot, so snapshot + replay ≡ the uninterrupted run
-at every drain boundary.
+component ``state_snapshot``, supervisor breakers, gateway DLQ, the
+hub's graph metric series -- into one plain dict; ``restore_state``
+rebuilds a live engine from that dict and replays the journal entries
+appended after it.  The replay model is deterministic re-execution:
+submits re-cross ``engine.submit`` (verdicts and lane counters
+recompute identically) and drain rounds re-cross the batched dispatch
+path via ``engine.replay_round``, which reproduces the original
+per-lane batch sizes independent of the current scheduler cursor.
+Sink state is captured in the snapshot, so snapshot + replay ≡ the
+uninterrupted run at every drain boundary.
 
 :class:`DurabilityManager` ties it together: it owns the store, attaches
 the journal to the engine, auto-snapshots every ``snapshot_every``
 entries, records warm-handoff migrations, and surfaces everything to
 the PSL and the infrastructure report through its
-``perpos.DurabilityManager`` service registration.
+``perpos.DurabilityManager`` service registration.  Its own counters
+(snapshots, bytes, restores, entries replayed, migrations) are the only
+record of that activity; :meth:`DurabilityManager.describe` shows them.
 """
 
 from __future__ import annotations
@@ -267,7 +269,12 @@ class DurabilityManager:
         self.gateway: Optional[Any] = None
         self.snapshots_taken = 0
         self.restores = 0
+        #: Journal entries replayed, summed over every restore.
+        self.entries_replayed = 0
         self.last_snapshot_bytes = 0
+        #: Migrations recorded, uncapped; ``_migrations`` keeps only the
+        #: last ``MAX_MIGRATIONS`` records.
+        self.migrations_total = 0
         self._migrations: List[Dict[str, Any]] = []
 
     # -- lifecycle ---------------------------------------------------------
@@ -310,9 +317,6 @@ class DurabilityManager:
         self.last_snapshot_bytes = n_bytes
         if self.journal is not None:
             self.journal.since_snapshot = 0
-        hub = self.graph.instrumentation
-        if hub is not None:
-            hub.durability_snapshot(n_bytes)
         return {
             "bytes": n_bytes,
             "lanes": len(state["lanes"]),
@@ -327,9 +331,7 @@ class DurabilityManager:
             self.graph, engine, self.store, gateway=self.gateway
         )
         self.restores += 1
-        hub = self.graph.instrumentation
-        if hub is not None:
-            hub.durability_restore(replayed)
+        self.entries_replayed += replayed
         return replayed
 
     # -- gateway DLQ persistence (survives disable/enable cycles) ----------
@@ -350,12 +352,10 @@ class DurabilityManager:
     # -- migration bookkeeping (driven by ShardedEngine) -------------------
 
     def record_migration(self, info: Dict[str, Any]) -> None:
+        self.migrations_total += 1
         self._migrations.append(dict(info))
         if len(self._migrations) > MAX_MIGRATIONS:
             del self._migrations[: len(self._migrations) - MAX_MIGRATIONS]
-        hub = self.graph.instrumentation
-        if hub is not None:
-            hub.durability_migration(info.get("pause_s", 0.0))
 
     def migrations(self) -> List[Dict[str, Any]]:
         return [dict(info) for info in self._migrations]
@@ -369,8 +369,9 @@ class DurabilityManager:
             "snapshot_every": self.snapshot_every,
             "snapshots_taken": self.snapshots_taken,
             "restores": self.restores,
+            "entries_replayed": self.entries_replayed,
             "last_snapshot_bytes": self.last_snapshot_bytes,
-            "migrations": len(self._migrations),
+            "migrations": self.migrations_total,
             "journal": (
                 self.journal.describe() if self.journal is not None else None
             ),

@@ -149,7 +149,13 @@ class Crosswalk:
 
 
 class SourceAdapter:
-    """Normalises one wire format's payloads into engine datums."""
+    """Normalises one wire format's payloads into engine datums.
+
+    It also keeps its format's share of the gateway's outcome counts
+    (``accepted`` / ``rejected`` / ``shed`` / ``rate_limited`` on the
+    clean path, ``replayed`` for dead letters replayed into a lane),
+    which the gateway advances and :meth:`describe` shows.
+    """
 
     def __init__(
         self,
@@ -165,6 +171,9 @@ class SourceAdapter:
         self.name = name if name is not None else wire_format.name
         self.accepted = 0
         self.rejected = 0
+        self.shed = 0
+        self.rate_limited = 0
+        self.replayed = 0
 
     def set_crosswalk(self, crosswalk: Optional[Crosswalk]) -> None:
         """Install/replace/remove the crosswalk (replay-after-fix seam)."""
@@ -223,6 +232,9 @@ class SourceAdapter:
             "kind": self.kind,
             "accepted": self.accepted,
             "rejected": self.rejected,
+            "shed": self.shed,
+            "rate_limited": self.rate_limited,
+            "replayed": self.replayed,
             "crosswalk": (
                 self.crosswalk.describe() if self.crosswalk is not None else None
             ),

@@ -32,10 +32,17 @@ Accounting invariant (pinned by the storm tests)::
 
 where ``pending`` is the admission-queue depth; DLQ replays are counted
 separately (``dlq.total_replayed``) so clean-path counters always sum
-exactly to submissions.  ``rate_limited`` (a per-device token-bucket
-verdict, off by default) is deliberately **not** dead-lettered: the
-traffic is well-formed excess, and flooding the DLQ ring with it would
-evict the malformed payloads replay-after-fix exists for.
+exactly to submissions.  Each :class:`~repro.gateway.adapters
+.SourceAdapter` splits the same outcomes by wire format (``accepted`` /
+``rejected`` / ``shed`` / ``rate_limited``, plus ``replayed``); a
+payload rejected before its format is known counts only on the gateway.
+These counters, the adapters' and the DLQ's are the only record of the
+edge's outcomes: :meth:`IngestionGateway.snapshot` shows them all, and
+nothing copies them into the observability hub.  ``rate_limited`` (a
+per-device token-bucket verdict, off by default) is deliberately
+**not** dead-lettered: the traffic is well-formed excess, and flooding
+the DLQ ring with it would evict the malformed payloads
+replay-after-fix exists for.
 """
 
 from __future__ import annotations
@@ -203,11 +210,6 @@ class IngestionGateway:
         Freshness window against the injected clock (None = no check).
     clock / time_fn:
         Time source; pass the simulation clock for determinism.
-    hub:
-        An :class:`~repro.observability.instrumentation.ObservabilityHub`,
-        or a zero-arg callable resolving to one (or None) at event time
-        -- the middleware passes a callable so the gateway follows the
-        hub across enable/disable_observability.
     """
 
     def __init__(
@@ -226,7 +228,6 @@ class IngestionGateway:
         rate_limit: Union[None, float, int, RateLimiter] = None,
         clock: Optional[Any] = None,
         time_fn: Optional[Callable[[], float]] = None,
-        hub: Union[None, Any, Callable[[], Any]] = None,
     ) -> None:
         if admission_policy == queues.COALESCE:
             raise GatewayError(
@@ -261,14 +262,6 @@ class IngestionGateway:
             self.rate_limiter: Optional[RateLimiter] = rate_limit
         else:
             self.rate_limiter = RateLimiter(float(rate_limit))
-        if callable(hub):
-            self._hub_fn: Callable[[], Any] = hub
-        else:
-
-            def _fixed_hub() -> Any:
-                return hub
-
-            self._hub_fn = _fixed_hub
         self._adapters: Dict[str, SourceAdapter] = {
             name: SourceAdapter(self.formats.get(name))  # type: ignore[arg-type]
             for name in self.formats.names()
@@ -331,7 +324,8 @@ class IngestionGateway:
             # DLQ-exempt shedding: well-formed excess is counted and
             # reported, never dead-lettered (see module docstring).
             self.rate_limited += 1
-            self._emit(limited.adapter or "-", "rate_limited")
+            if limited.adapter is not None:
+                self._adapters[limited.adapter].rate_limited += 1
             return RATE_LIMITED
         except _Reject as reject:
             return self._reject(payload, reject)
@@ -355,14 +349,13 @@ class IngestionGateway:
         # incoming payload; shed is boundary pressure, not adapter fault,
         # so the adapter's rejected counter is left alone.
         self.shed += 1
+        adapter.shed += 1
         self.dlq.push(
             self._raw_of(payload),
             "admission",
             f"admission queue full ({self.admission.policy})",
             adapter=adapter.name,
         )
-        self._emit(adapter.name, "shed")
-        self._sync_gauges()
         return SHED
 
     def submit_many(self, payloads: Any) -> Dict[str, int]:
@@ -382,37 +375,33 @@ class IngestionGateway:
         dead-lettered at the ``ingest`` stage as *rejected*.
         """
         batch = self.admission.drain(max_items)
-        # Hot loop: hub and adapter table resolved once per batch.
-        hub = self._hub_fn()
+        # Hot loop: adapter table resolved once per batch.
         adapters = self._adapters
         engine_submit = self.engine.submit
         for datum in batch:
             attributes = datum.attributes
             device = attributes["device"]
             adapter_name = attributes["format"]
+            adapter = adapters.get(adapter_name)
             try:
                 verdict = engine_submit(device, datum)
             except Exception as exc:
                 self.rejected += 1
+                if adapter is not None:
+                    adapter.rejected += 1
                 self.dlq.push(
                     self._raw_of(attributes.get("raw", datum.payload)),
                     "ingest",
                     f"{type(exc).__name__}: {exc}",
                     adapter=adapter_name,
                 )
-                if hub is not None:
-                    hub.gateway_event(adapter_name, "rejected")
                 continue
             if verdict in (queues.ACCEPTED, queues.COALESCED):
                 self.accepted += 1
-                adapter = adapters.get(adapter_name)
                 if adapter is not None:
                     adapter.accepted += 1
-                if hub is not None:
-                    hub.gateway_event(adapter_name, "accepted")
             else:
                 self._shed_datum(datum, "ingest", f"lane verdict {verdict}")
-        self._sync_gauges()
         return len(batch)
 
     # -- replay-after-fix ------------------------------------------------------
@@ -460,7 +449,6 @@ class IngestionGateway:
                     outcome["exhausted"] += 1
                 else:
                     outcome["failed"] += 1
-        self._sync_gauges()
         return outcome
 
     def _replay_one(self, record: DeadLetter) -> Optional[str]:
@@ -476,8 +464,7 @@ class IngestionGateway:
         except Exception as exc:
             return f"ingest: {type(exc).__name__}: {exc}"
         if verdict in (queues.ACCEPTED, queues.COALESCED):
-            adapter.accepted += 1
-            self._emit(adapter.name, "replayed")
+            adapter.replayed += 1
             return None
         return f"ingest: lane verdict {verdict}"
 
@@ -594,35 +581,21 @@ class IngestionGateway:
             reject.reason,
             adapter=reject.adapter,
         )
-        self._emit(reject.adapter or "-", "rejected")
-        self._sync_gauges()
         return REJECTED
 
     def _shed_datum(self, datum: Any, stage: str, reason: str) -> None:
         """Dead-letter a previously-admitted datum as shed."""
         self.shed += 1
         adapter_name = datum.attributes.get("format", "-")
+        adapter = self._adapters.get(adapter_name)
+        if adapter is not None:
+            adapter.shed += 1
         self.dlq.push(
             self._raw_of(datum.attributes.get("raw", datum.payload)),
             stage,
             reason,
             adapter=adapter_name,
         )
-        self._emit(adapter_name, "shed")
-
-    def _emit(self, adapter: str, outcome: str) -> None:
-        hub = self._hub_fn()
-        if hub is not None:
-            hub.gateway_event(adapter, outcome)
-
-    def _sync_gauges(self) -> None:
-        hub = self._hub_fn()
-        if hub is not None:
-            hub.dlq_state(
-                len(self.dlq),
-                self.dlq.total_replayed,
-                self.dlq.total_exhausted,
-            )
 
     # -- inspection ------------------------------------------------------------
 

@@ -13,11 +13,22 @@ Per event the hub records:
 
 * ``items_out{component=...}`` -- datums dispatched by a component;
 * ``items_in{component=...}`` -- datums delivered into a component;
-* ``items_dropped{component=...}`` -- datums a Component Feature vetoed;
+* ``items_dropped{component=...}`` / ``feature_drops{feature=...}`` --
+  datums a Component Feature vetoed;
 * ``errors{component=...}`` -- exceptions escaping ``receive``;
 * ``hop_latency_s{component=...}`` -- processing time per delivery;
 * ``graph_components`` / ``graph_connections`` /
-  ``graph_topology_version`` gauges on topology change.
+  ``graph_topology_version`` gauges on topology change, and the
+  compiled-plan gauges.
+
+The hub instruments only the graph it is installed on (plus the
+scenario and control hooks their callers hand it).  Every other count
+has one owner that keeps it and shows it in its own snapshot: lane
+queues and the engine (offers, depths, drops, scheduler rounds), the
+gateway and its adapters (accepted / rejected / shed / rate-limited /
+replayed), the dead-letter queue, the durability manager and each
+channel (feature errors).  Nothing copies those counts in here, so the
+registry's size follows the graph, not the number of devices seen.
 
 With ``tracing=True`` (the default) the hub also maintains flow traces:
 each dispatched datum carries a :class:`~repro.observability.tracing
@@ -90,14 +101,6 @@ class ObservabilityHub:
         # ``registry.reset()``, so these never need invalidation.
         self._out_counters: Dict[str, Any] = {}
         self._in_instruments: Dict[str, Tuple[Any, Any, Any]] = {}
-        # Ingestion-side memos (scale-out runtime): per-(target, verdict)
-        # offer counters and per-target depth/drop gauges.
-        self._ingestion_counters: Dict[Tuple[str, str], Any] = {}
-        self._ingestion_gauges: Dict[str, Tuple[Any, Any]] = {}
-        # Gateway-edge memos: per-(adapter, outcome) counters plus the
-        # dead-letter-queue gauge triple.
-        self._gateway_counters: Dict[Tuple[str, str], Any] = {}
-        self._dlq_gauges: Optional[Tuple[Any, Any, Any]] = None
         # Scenario / closed-loop control memos (repro.scenario).
         self._scenario_gauges: Optional[Tuple[Any, Any, Any]] = None
         self._geofence_counters: Dict[str, Any] = {}
@@ -190,85 +193,6 @@ class ObservabilityHub:
         finally:
             latency.observe(self._time() - start)
 
-    # -- ingestion hooks (scale-out runtime) -------------------------------
-
-    def ingestion_event(self, target: str, verdict: str) -> None:
-        """One queue offer settled for ``target`` (accepted/dropped/...)."""
-        counters = self._ingestion_counters
-        counter = counters.get((target, verdict))
-        if counter is None:
-            counter = counters[(target, verdict)] = self.registry.counter(
-                "queue_offers", target=target, verdict=verdict
-            )
-        counter.inc()
-
-    def ingestion_depth(
-        self, target: str, depth: int, dropped: int
-    ) -> None:
-        """Current queue depth and cumulative drops for ``target``."""
-        gauges = self._ingestion_gauges
-        pair = gauges.get(target)
-        if pair is None:
-            registry = self.registry
-            pair = gauges[target] = (
-                registry.gauge("queue_depth", target=target),
-                registry.gauge("queue_dropped_total", target=target),
-            )
-        pair[0].set(depth)
-        pair[1].set(dropped)
-
-    def gateway_event(self, adapter: str, outcome: str) -> None:
-        """One gateway pipeline verdict settled for ``adapter``.
-
-        ``outcome`` is one of ``accepted`` / ``rejected`` / ``shed`` /
-        ``replayed``; each becomes its own ``gateway_<outcome>`` counter
-        labelled by adapter, which is how per-adapter accept/reject
-        rates surface (ISSUE 8 instrument names).
-        """
-        counters = self._gateway_counters
-        counter = counters.get((adapter, outcome))
-        if counter is None:
-            counter = counters[(adapter, outcome)] = self.registry.counter(
-                f"gateway_{outcome}", adapter=adapter
-            )
-        counter.inc()
-
-    def dlq_state(self, depth: int, replayed: int, exhausted: int) -> None:
-        """Current dead-letter depth and cumulative replay outcomes."""
-        gauges = self._dlq_gauges
-        if gauges is None:
-            registry = self.registry
-            gauges = self._dlq_gauges = (
-                registry.gauge("dlq_depth"),
-                registry.gauge("dlq_replayed"),
-                registry.gauge("dlq_exhausted"),
-            )
-        gauges[0].set(depth)
-        gauges[1].set(replayed)
-        gauges[2].set(exhausted)
-
-    def scheduler_round(self, drained: int) -> None:
-        """One scheduler round drained ``drained`` datums into the graph."""
-        self.registry.counter("scheduler_rounds").inc()
-        if drained:
-            self.registry.counter("scheduler_drained").inc(drained)
-
-    def durability_snapshot(self, n_bytes: int) -> None:
-        """One full state snapshot persisted (``n_bytes`` serialized)."""
-        self.registry.counter("durability_snapshots").inc()
-        self.registry.gauge("snapshot_bytes").set(n_bytes)
-
-    def durability_restore(self, replayed: int) -> None:
-        """One crash-recovery restore replayed ``replayed`` journal entries."""
-        self.registry.counter("durability_restores").inc()
-        if replayed:
-            self.registry.counter("restore_replayed").inc(replayed)
-
-    def durability_migration(self, pause_s: float) -> None:
-        """One warm lane handoff completed with ``pause_s`` of lane pause."""
-        self.registry.counter("migrations_completed").inc()
-        self.registry.histogram("handoff_pause_ticks").observe(pause_s)
-
     # -- scenario + closed-loop control (repro.scenario) --------------------
 
     def scenario_tick(self, devices: int, events: int) -> None:
@@ -324,12 +248,6 @@ class ObservabilityHub:
         ).inc()
         self.registry.counter(
             "feature_drops", feature=feature_name
-        ).inc()
-
-    def channel_feature_error(self, channel_id: str, feature_name: str) -> None:
-        """A Channel Feature's ``apply`` raised during output delivery."""
-        self.registry.counter(
-            "channel_feature_errors", channel=channel_id, feature=feature_name
         ).inc()
 
     def topology_changed(

@@ -10,7 +10,7 @@ rather than hide.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.component import InputPort, OutputPort, ProcessingComponent
 from repro.core.data import Datum, Kind

@@ -36,7 +36,7 @@ from __future__ import annotations
 import time as _time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,

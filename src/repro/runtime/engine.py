@@ -21,9 +21,11 @@ intact (see :meth:`~repro.core.graph.ProcessingGraph.route_batch`).
 The engine is itself translucent: ``graph.set_engine`` makes lane
 policies, depths, and drop counters reachable from
 ``psl.describe()`` / ``psl.ingestion_lanes()``, adaptable via
-``psl.set_backpressure()``, visible in the infrastructure report, and
-exported as hub gauges (``queue_depth{target=...}``) while
-observability is enabled.
+``psl.set_backpressure()`` and visible in the infrastructure report.
+The lanes and the engine are the only record of those counts (the
+observability hub keeps no copy): :meth:`PositioningEngine.snapshot`
+carries every lane's queue counters plus ``rounds`` and
+``drained_total``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Optional,
     Union,
@@ -241,10 +244,6 @@ class PositioningEngine:
         # falls before it (replay would double-apply otherwise).
         if self.journal is not None:
             self.journal.record_submit(target_id, datum)
-        hub = self.graph.instrumentation
-        if hub is not None:
-            hub.ingestion_event(target_id, verdict)
-            hub.ingestion_depth(target_id, lane.queue.depth, lane.queue.dropped)
         return verdict
 
     # -- scheduling (consumer side) ------------------------------------------
@@ -257,11 +256,41 @@ class PositioningEngine:
         dispatch path -- before the next lane runs, so per-lane FIFO
         order holds and fairness is exactly the scheduler's plan.
         """
+        return self._round(self.scheduler.plan(self._lane_list))
+
+    def replay_round(self, lane_counts: List[Any]) -> int:
+        """Re-execute one journaled drain round during crash recovery.
+
+        ``lane_counts`` is the ``[(target_id, count), ...]`` list a
+        previous run's :meth:`drain_round` journaled: exactly ``count``
+        datums are popped from each named lane in the recorded order
+        and injected through the batched dispatch path.  This
+        reproduces the original routing independent of the *current*
+        scheduler cursor, so restore does not have to reconstruct
+        scheduler internals.  A lane untracked later in the journal is
+        skipped: the original round's effects on it are unreproducible
+        and irrelevant (its sink history died with it).  Restore
+        suspends the journal, so the replayed round is not journaled
+        again.
+        """
+        lanes = self._lanes
+        return self._round(
+            (lanes[target_id], count)
+            for target_id, count in lane_counts
+            if target_id in lanes
+        )
+
+    def _round(self, plan: Iterable[Any]) -> int:
+        """Run one round over ``plan``'s ``(lane, count)`` pairs.
+
+        Drains up to ``count`` datums from each lane in order, injects
+        each non-empty batch, and journals the per-lane counts.
+        """
         total = 0
         journal = self.journal
         lane_counts: List[Any] = []
-        for lane, quantum in self.scheduler.plan(self._lane_list):
-            batch = lane.queue.drain(quantum)
+        for lane, count in plan:
+            batch = lane.queue.drain(count)
             if not batch:
                 continue
             if journal is not None:
@@ -273,49 +302,6 @@ class PositioningEngine:
         self.drained_total += total
         if journal is not None and lane_counts:
             journal.record_drain(lane_counts)
-        hub = self.graph.instrumentation
-        if hub is not None:
-            hub.scheduler_round(total)
-            for lane in self._lane_list:
-                hub.ingestion_depth(
-                    lane.target_id, lane.queue.depth, lane.queue.dropped
-                )
-        return total
-
-    def replay_round(self, lane_counts: List[Any]) -> int:
-        """Re-execute one journaled drain round during crash recovery.
-
-        ``lane_counts`` is the ``[(target_id, count), ...]`` list a
-        previous run's :meth:`drain_round` journaled: exactly ``count``
-        datums are popped from each named lane in the recorded order
-        and injected through the batched dispatch path.  This
-        reproduces the original routing independent of the *current*
-        scheduler cursor, so restore does not have to reconstruct
-        scheduler internals.
-        """
-        total = 0
-        for target_id, count in lane_counts:
-            lane = self._lanes.get(target_id)
-            if lane is None:
-                # The lane was untracked later in the journal; the
-                # original round's effects on it are unreproducible
-                # and irrelevant (its sink history died with it).
-                continue
-            batch = lane.queue.drain(count)
-            if not batch:
-                continue
-            lane.source.inject_batch(batch)
-            lane.batches += 1
-            total += len(batch)
-        self.rounds += 1
-        self.drained_total += total
-        hub = self.graph.instrumentation
-        if hub is not None:
-            hub.scheduler_round(total)
-            for lane in self._lane_list:
-                hub.ingestion_depth(
-                    lane.target_id, lane.queue.depth, lane.queue.dropped
-                )
         return total
 
     def drain_all(self, max_rounds: int = 1000) -> int:

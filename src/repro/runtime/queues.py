@@ -28,11 +28,14 @@ An :class:`IngestionQueue` is a bounded FIFO of
 
 Every decision is counted (``accepted`` / ``rejected`` /
 ``dropped_oldest`` / ``dropped_newest`` / ``coalesced``) and the depth
-high-water mark is tracked, which is what the engine exports as hub
-gauges and the PSL surfaces through ``describe()``.  Policies and
-capacity are mutable at runtime (:meth:`set_policy` /
-:meth:`set_capacity`) -- adaptation of the internal positioning process,
-applied to its ingestion edge.
+high-water mark is tracked.  The queue is the only record of these
+counts: the engine's snapshot, the PSL's ``describe()`` and the report
+read them here.  Each offer settles exactly one verdict, so
+``offered == accepted + rejected + dropped_newest + coalesced``;
+``dropped_oldest`` counts pending datums evicted after they were
+accepted.  Policies and capacity are mutable at runtime
+(:meth:`set_policy` / :meth:`set_capacity`) -- adaptation of the
+internal positioning process, applied to its ingestion edge.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.clock import SimulationClock
-from repro.core import Criteria, Kind, PerPos
+from repro.core import Kind, PerPos
 from repro.core.component import ApplicationSink, SourceComponent
 from repro.core.data import Datum
 from repro.core.graph import ProcessingGraph
@@ -17,8 +17,8 @@ from repro.model.demo import (
 )
 from repro.processing.beacon_positioning import BeaconPositioningComponent
 from repro.processing.pipelines import build_room_app
-from repro.sensors.ble import Beacon, BeaconScan, BeaconSighting, BleScanner
-from repro.sensors.gps import GpsReceiver, INDOOR, OPEN_SKY
+from repro.sensors.ble import BeaconScan, BeaconSighting, BleScanner
+from repro.sensors.gps import GpsReceiver, INDOOR
 from repro.sensors.trajectory import (
     StationaryTrajectory,
     Waypoint,

@@ -424,6 +424,16 @@ class TestHarnessErrors:
         broken = {"configs": {}}
         assert run(tmp_path, broken, broken) == 2
 
+    def test_zero_divisor_exits_2(self, tmp_path, capsys):
+        # A zero "bare pipeline" rate leaves the normalised rates
+        # undefined: an unusable artefact, not a regression.
+        baseline = str(RESULTS / "BENCH_dispatch.json")
+        broken = json.loads(Path(baseline).read_text(encoding="utf-8"))
+        broken["configs"]["datums_per_s"]["bare pipeline"] = 0
+        current = write(tmp_path, "current.json", broken)
+        assert check_regression.main(["--pair", baseline, current]) == 2
+        assert "ZeroDivisionError" in capsys.readouterr().err
+
     def test_legacy_single_pair_form(self, tmp_path):
         base = write(tmp_path, "baseline.json", scale_artefact())
         cur = write(tmp_path, "current.json", scale_artefact())

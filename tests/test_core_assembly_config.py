@@ -21,7 +21,6 @@ from repro.core.config import (
     load_configuration,
 )
 from repro.core.data import Datum
-from repro.core.features import ComponentFeature
 from repro.processing.gps_features import NumberOfSatellitesFeature
 
 

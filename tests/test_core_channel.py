@@ -7,8 +7,7 @@ from repro.core.component import (
     FunctionComponent,
     SourceComponent,
 )
-from repro.core.data import Datum, Kind
-from repro.core.datatree import DataTree, DataTreeElement
+from repro.core.data import Datum
 from repro.core.features import ComponentFeature, FeatureError
 from repro.core.channel import Channel, ChannelFeature
 from repro.core.graph import ProcessingGraph

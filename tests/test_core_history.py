@@ -5,7 +5,7 @@ import pytest
 from repro.core.component import ApplicationSink, SourceComponent
 from repro.core.data import Datum, Kind
 from repro.core.graph import ProcessingGraph
-from repro.core.history import TrackHistoryService, TrackPoint
+from repro.core.history import TrackHistoryService
 from repro.core.pcl import ProcessChannelLayer
 from repro.core.positioning import LocationProvider
 from repro.geo.wgs84 import Wgs84Position

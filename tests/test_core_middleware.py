@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.component import ApplicationSink, SourceComponent
-from repro.core.data import Datum, Kind
+from repro.core.data import Kind
 from repro.core.graph import GraphError, ProcessingGraph
 from repro.core.middleware import PerPos
 from repro.core.report import infrastructure_snapshot

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.channel import ChannelFeature
-from repro.core.component import ApplicationSink, FunctionComponent, SourceComponent
+from repro.core.component import ApplicationSink, SourceComponent
 from repro.core.data import Datum, Kind
 from repro.core.features import ComponentFeature
 from repro.core.graph import ProcessingGraph
@@ -13,7 +13,6 @@ from repro.core.positioning import (
     LocationProvider,
     PositioningError,
     PositioningLayer,
-    Target,
 )
 from repro.geo.wgs84 import Wgs84Position
 

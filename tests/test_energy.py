@@ -3,7 +3,6 @@
 import pytest
 
 from repro.energy.entracked import (
-    EnTrackedChannelFeature,
     EnTrackedSystem,
     PowerStrategyFeature,
     SensorWrapperComponent,

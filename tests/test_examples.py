@@ -6,10 +6,7 @@ couple of headline output lines are sanity-checked.
 """
 
 import importlib.util
-import sys
 from pathlib import Path
-
-import pytest
 
 EXAMPLES = Path(__file__).parent.parent / "examples"
 

@@ -1,7 +1,5 @@
 """Tests for WGS84 positions and spherical geometry."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 

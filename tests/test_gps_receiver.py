@@ -12,8 +12,8 @@ from repro.sensors.gps import (
     URBAN_CANYON,
     constant_environment,
 )
-from repro.sensors.nmea import GgaSentence, NmeaError, parse_sentence
-from repro.sensors.trajectory import StationaryTrajectory, WaypointTrajectory, Waypoint
+from repro.sensors.nmea import NmeaError, parse_sentence
+from repro.sensors.trajectory import WaypointTrajectory, Waypoint
 
 START = Wgs84Position(56.17, 10.19)
 

@@ -1,7 +1,5 @@
 """Coverage for remaining public surface across packages."""
 
-import pytest
-
 from repro.core import Kind
 from repro.core.assembly import AutoAssembler
 from repro.core.channel import Channel

@@ -5,8 +5,7 @@ import pytest
 from repro.core import Kind, PerPos
 from repro.core.channel import ChannelFeature
 from repro.core.component import ApplicationSink, FunctionComponent, SourceComponent
-from repro.core.data import Datum
-from repro.core.features import ComponentFeature, FeatureError
+from repro.core.features import FeatureError
 from repro.core.graph import ProcessingGraph
 from repro.core.pcl import ProcessChannelLayer
 from repro.geo.grid import GridPosition

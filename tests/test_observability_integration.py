@@ -4,12 +4,21 @@ Drives the Fig. 1 pipeline (GPS strand + WiFi strand -> fusion ->
 resolver -> application) through :class:`PerPos` with observability
 enabled, and asserts that (a) ``PerPos.trace`` names the actual
 source-to-merge path behind a delivered position, and (b) the
-infrastructure report embeds the live metrics section.
+infrastructure report embeds the live metrics section.  A composed
+gateway -> runtime -> durability run then pins (c) that the hub records
+only graph series, however many devices come and go, while each count
+outside the graph is kept, exactly, by its owner.
 """
 
 import pytest
 
 from repro.core import Kind, PerPos, infrastructure_snapshot, render_report
+from repro.core.component import (
+    ApplicationSink,
+    FunctionComponent,
+    SourceComponent,
+)
+from repro.gateway import AutoTrackPolicy
 from repro.model.demo import demo_building, demo_radio_environment
 from repro.processing.pipelines import build_room_app
 from repro.sensors.gps import GpsReceiver, INDOOR, OPEN_SKY
@@ -171,3 +180,139 @@ class TestLiveMetrics:
             "room-app",
         ):
             assert name in metrics
+
+
+# -- one owner per count: the hub records only the graph --------------------
+
+#: Every series the hub records for the graph it is installed on.
+GRAPH_SERIES = {
+    "items_in",
+    "items_out",
+    "items_dropped",
+    "feature_drops",
+    "errors",
+    "hop_latency_s",
+    "graph_components",
+    "graph_connections",
+    "graph_topology_version",
+    "graph_plan_invalidations",
+    "graph_compiled_chains",
+    "graph_fused_components",
+    "graph_fused_dispatches",
+}
+
+POS = Kind.POSITION_WGS84
+
+
+def edge_payload(device, **over):
+    payload = {
+        "source_format": "phone_tracker_v1",
+        "device_id": device,
+        "timestamp": 0.0,
+        "lat": 55.676,
+        "lon": 12.568,
+        "accuracy_m": 5.0,
+        "battery_pct": 0.8,
+    }
+    payload.update(over)
+    return payload
+
+
+def composed_run(devices, waves=3):
+    """Gateway -> runtime -> drain with device churn, then snapshot,
+    one more wave, and a restore.
+
+    Each wave brings ``devices`` new devices with four payloads each:
+    the token bucket (burst 3) limits the fourth, a lane of capacity 2
+    under ``drop_newest`` sheds the third, and a one-short admission
+    queue sheds the wave's last admitted payload.  A malformed and an
+    unknown-format payload are rejected per wave.  Half of each wave's
+    devices leave after the drain.  Returns the middleware, its hub,
+    and the stats of every lane that ever existed.
+    """
+    middleware = PerPos()
+    graph = middleware.graph
+    graph.add(SourceComponent("src", (POS,)))
+    graph.add(FunctionComponent("f", (POS,), (POS,), fn=lambda d: d))
+    graph.add(ApplicationSink("sink", (POS,), keep_last=100_000))
+    graph.connect("src", "f", "in")
+    graph.connect("f", "sink", "in")
+    hub = middleware.enable_observability(tracing=False)
+    engine = middleware.enable_runtime()
+    manager = middleware.enable_durability()
+    gateway = middleware.enable_gateway(
+        "src",
+        device_policy=AutoTrackPolicy(capacity=2, policy="drop_newest"),
+        admission_capacity=3 * devices - 1,
+        rate_limit=3.0,
+    )
+    retired = []
+
+    def wave(n):
+        ids = [f"w{n}-d{i}" for i in range(devices)]
+        for device in ids:
+            for k in range(4):
+                gateway.submit(edge_payload(device, timestamp=float(k)))
+        gateway.submit(edge_payload(ids[0], lat=999.0))
+        gateway.submit({"source_format": "no_such_format_v9"})
+        gateway.forward()
+        engine.drain_round()
+        for device in ids[: devices // 2]:
+            retired.append(engine.lane(device).stats())
+            engine.untrack(device)
+
+    for n in range(waves):
+        wave(n)
+    manager.snapshot()
+    wave(waves)
+    assert manager.restore() > 0
+    engine.drain_all()
+    lanes = retired + [lane.stats() for lane in engine.lanes()]
+    return middleware, hub, lanes
+
+
+class TestOneOwnerPerCount:
+    def test_hub_holds_only_graph_series(self):
+        _middleware, hub, _lanes = composed_run(devices=4)
+        names = {name for _kind, name, _labels, _i in hub.registry.series()}
+        assert names and names <= GRAPH_SERIES
+
+    def test_series_do_not_grow_with_devices_seen(self):
+        def series(devices):
+            _middleware, hub, lanes = composed_run(devices)
+            assert len(lanes) == 4 * devices
+            return sorted(
+                (kind, name, sorted(labels.items()))
+                for kind, name, labels, _i in hub.registry.series()
+            )
+
+        assert series(3) == series(12)
+
+    def test_owners_account_exactly(self):
+        middleware, _hub, lanes = composed_run(devices=6)
+        gateway = middleware.gateway.snapshot()
+        assert gateway["submitted"] == (
+            gateway["accepted"]
+            + gateway["rejected"]
+            + gateway["shed"]
+            + gateway["rate_limited"]
+            + gateway["pending"]
+        )
+        # Every outcome is exercised, and the adapter's share of each
+        # is exact (unknown-format rejects have no adapter).
+        adapter = gateway["adapters"]["phone_tracker_v1"]
+        for outcome in ("accepted", "shed", "rate_limited"):
+            assert gateway[outcome] > 0
+            assert adapter[outcome] == gateway[outcome]
+        assert 0 < adapter["rejected"] < gateway["rejected"]
+        for lane in lanes:
+            assert lane["offered"] == (
+                lane["accepted"]
+                + lane["rejected"]
+                + lane["dropped_newest"]
+                + lane["coalesced"]
+            )
+        assert sum(lane["dropped_newest"] for lane in lanes) > 0
+        durability = middleware.durability.describe()
+        assert durability["restores"] == 1
+        assert durability["entries_replayed"] > 0

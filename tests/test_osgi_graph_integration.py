@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.component import (
     ApplicationSink,
-    FunctionComponent,
     SourceComponent,
 )
 from repro.core.data import Datum, Kind

@@ -30,7 +30,7 @@ from repro.core.graph import ProcessingGraph
 from repro.durability import MemoryStateStore, restore_from_store
 from repro.durability.manager import DurabilityManager
 from repro.runtime import PositioningEngine, ShardedEngine
-from repro.runtime.queues import COALESCE, DROP_NEWEST, DROP_OLDEST
+from repro.runtime.queues import DROP_NEWEST, DROP_OLDEST
 
 TARGETS = ("t1", "t2", "t3")
 

@@ -10,7 +10,6 @@ from repro.geo.wgs84 import Wgs84Position
 from repro.processing.pipelines import build_gps_pipeline
 from repro.reasoning.classifier import (
     MODES,
-    DecisionTreeClassifierComponent,
     ModeEstimate,
     TransportMode,
     classify,

@@ -27,7 +27,6 @@ from repro.core.positioning import Criteria
 from repro.core.report import infrastructure_snapshot, render_report
 from repro.observability import MetricsRegistry, ObservabilityHub
 from repro.robustness import (
-    FailureRecord,
     FaultInjected,
     FaultInjectionFeature,
     SupervisionError,
@@ -698,17 +697,20 @@ class TestChannelFeatureErrorAccounting:
             Channel(graph, [source], "app", feature_error_limit=0)
 
     def test_hub_counter_records_channel_feature_errors(self):
+        # The channel owns the count; an installed hub keeps no copy.
         graph, source, channel = self.build_channel()
         hub = ObservabilityHub(MetricsRegistry(), tracing=False)
         graph.set_instrumentation(hub)
         source.inject(Datum("x", 1, 0.0))
         source.inject(Datum("x", 2, 1.0))
-        counter = hub.registry.counter(
-            "channel_feature_errors",
-            channel=channel.id,
-            feature="Bad",
-        )
-        assert counter.value == 2
+        assert channel.feature_error_count == 2
+        assert channel.stats()["feature_errors"] == 2
+        assert [name for name, _exc in channel.feature_errors] == ["Bad", "Bad"]
+        assert not [
+            name
+            for _kind, name, _labels, _instrument in hub.registry.series()
+            if name == "channel_feature_errors"
+        ]
 
     def test_flow_summary_includes_feature_errors(self):
         graph, source, _sinks = build_fanout(fail_on=lambda p: False)

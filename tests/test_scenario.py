@@ -31,7 +31,6 @@ from repro.scenario import (
     ControlError,
     ControlLoop,
     DegradedZone,
-    GeofenceComponent,
     GeofenceRule,
     QuarantineController,
     RebalanceController,

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.clock import SimulationClock
-from repro.services.remote import Host, Network, RemoteProxy, RetryPolicy
+from repro.services.remote import Host, Network, RetryPolicy
 
 
 class Calculator:

@@ -1,7 +1,6 @@
 """Tests for the particle filter and the Likelihood channel feature (§3.2)."""
 
 import random
-import statistics
 
 import pytest
 
@@ -9,7 +8,6 @@ from repro.core import Kind, PerPos
 from repro.core.component import ApplicationSink, SourceComponent
 from repro.core.data import Datum
 from repro.core.graph import ProcessingGraph
-from repro.core.pcl import ProcessChannelLayer
 from repro.geo.grid import GridPosition
 from repro.model.demo import demo_building
 from repro.processing.gps_features import HdopFeature
