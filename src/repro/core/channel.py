@@ -3,18 +3,42 @@
 A Channel is the Process Channel Layer's view of a single-strained
 source-to-merge flow: "the connection between components in the PSL are
 called Channels and encapsulates the positioning process taking place
-between its end points."  The channel watches its member components
-through graph observation, assigns each produced element a logical time
-at its layer, tracks which upstream elements each output consumed, and --
-every time the channel delivers an output -- assembles the
-:class:`~repro.core.datatree.DataTree` and hands it to every attached
-:class:`ChannelFeature` via ``apply`` (paper: "The method is called by
-the middleware every time the Channel delivers a data element").
+between its end points."  While a channel *observes* -- it carries at
+least one :class:`ChannelFeature`, or it subscribed to the graph itself
+-- it watches its member components, assigns each produced element a
+logical time at its layer, tracks which upstream elements each output
+consumed, and -- every time the channel delivers an output -- assembles
+the :class:`~repro.core.datatree.DataTree` and hands it to every
+attached feature via ``apply`` (paper: "The method is called by the
+middleware every time the Channel delivers a data element").
+
+A channel the PCL derived observes on demand.  Without a feature it
+only *counts*: it sees its last member's outputs, keeps the latest one,
+and so still answers ``latest_output()``, ``stats()`` and the report,
+but keeps no per-member state.  Attaching the first feature (through the
+PCL or :meth:`Channel.attach_feature`) starts the bookkeeping; detaching
+the last one stops it and frees the histories.  A feature attached
+mid-stream receives trees only for outputs whose contributing elements
+were all observed after the attach: a member that had consumed inputs
+without producing yet (an NMEA parser halfway through a sentence)
+contributes its next output only to withheld trees.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, TypeVar, Union
+import sys
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    TypeVar,
+    Union,
+)
 
 from repro.core.component import ProcessingComponent
 from repro.core.data import Datum
@@ -22,7 +46,15 @@ from repro.core.datatree import DataTree, DataTreeElement
 from repro.core.features import FeatureError
 from repro.core.graph import GraphObserver, ProcessingGraph
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.pcl import ProcessChannelLayer
+
 CF = TypeVar("CF", bound="ChannelFeature")
+
+#: Trust bound of a layer whose member held inputs consumed before the
+#: bookkeeping began: no element of that layer is complete until the
+#: member's next output has flushed them.
+_UNTRUSTED = sys.maxsize
 
 
 class ChannelFeature:
@@ -138,11 +170,12 @@ class Channel(GraphObserver):
     data trees only ever reference recent elements, so the bound exists
     to keep long runs in constant memory.
 
-    With ``subscribe=False`` the channel does not register itself as a
-    graph observer; the owner (the PCL) routes ``data_consumed`` /
-    ``data_produced`` events to it through a member index instead, so a
-    graph with many channels pays one observer fan-out per event rather
-    than one call per channel.
+    With ``subscribe=True`` (the default) the channel registers itself
+    as a graph observer and keeps the full bookkeeping from construction
+    on, feature or not -- the explicit opt-in for tools.  With
+    ``subscribe=False`` the owner (the PCL) routes events to it: every
+    event of its members while it has a feature, only its last member's
+    outputs while it has none (see the module docstring).
     """
 
     def __init__(
@@ -164,11 +197,21 @@ class Channel(GraphObserver):
         self.history_limit = history_limit
         self.feature_error_limit = feature_error_limit
         self._member_index = {m.name: i for i, m in enumerate(self.members)}
+        # Per-layer logical time; while the channel only counts, just
+        # the last layer's advances (the channel's output count).
         self._counters: List[int] = [0] * len(self.members)
-        self._pending: List[List[int]] = [[] for _ in self.members]
-        self._history: List[List[DataTreeElement]] = [
-            [] for _ in self.members
-        ]
+        # The latest output datum, kept in both modes.
+        self._latest: Optional[Datum] = None
+        # Per-member bookkeeping, allocated while observing only.
+        self._observing = False
+        self._pending: List[List[int]] = []
+        self._history: List[List[DataTreeElement]] = []
+        # Per layer, the lowest logical time whose element's inputs were
+        # all observed (see _UNTRUSTED).
+        self._trusted: List[int] = []
+        # The PCL that routes this channel's events (None if subscribed);
+        # told when the first feature arrives or the last one leaves.
+        self._owner: Optional["ProcessChannelLayer"] = None
         self._features: List[ChannelFeature] = []
         #: (feature name, exception) pairs from failed ``apply`` calls;
         #: bounded to the most recent ``feature_error_limit`` entries,
@@ -176,9 +219,11 @@ class Channel(GraphObserver):
         self.feature_errors: List[Tuple[str, Exception]] = []
         #: Total failed ``apply`` calls ever (the buffer above is capped).
         self.feature_error_count: int = 0
-        self._unsubscribe = (
-            graph.add_observer(self) if subscribe else (lambda: None)
-        )
+        if subscribe:
+            self._observe([True] * len(self.members))
+            self._unsubscribe = graph.add_observer(self)
+        else:
+            self._unsubscribe = lambda: None
 
     # -- identity & inspection ------------------------------------------------
 
@@ -193,6 +238,11 @@ class Channel(GraphObserver):
     @property
     def last_component(self) -> ProcessingComponent:
         return self.members[-1]
+
+    @property
+    def observing(self) -> bool:
+        """Whether the channel keeps per-member logical time now."""
+        return self._observing
 
     def describe(self) -> Dict[str, Any]:
         """Reflective summary of the channel (Fig. 2 middle layer)."""
@@ -230,6 +280,8 @@ class Channel(GraphObserver):
             )
         feature._attach(self)
         self._features.append(feature)
+        if self._owner is not None and len(self._features) == 1:
+            self._owner._features_changed(self)
 
     def detach_feature(self, name: str) -> ChannelFeature:
         """Remove a Channel Feature by name."""
@@ -237,6 +289,8 @@ class Channel(GraphObserver):
             if feature.name == name:
                 feature._detach()
                 self._features.remove(feature)
+                if self._owner is not None and not self._features:
+                    self._owner._features_changed(self)
                 return feature
         raise FeatureError(f"channel {self.id} has no feature {name!r}")
 
@@ -255,6 +309,36 @@ class Channel(GraphObserver):
             elif isinstance(feature, key):
                 return feature
         return None
+
+    # -- observation on demand ----------------------------------------------------
+
+    def _observe(self, clean: Sequence[bool]) -> None:
+        """Start the per-member bookkeeping.
+
+        ``clean[i]`` says member ``i`` holds no input consumed before
+        now; a member that does is untrusted until its next output has
+        flushed those inputs.  A source layer needs no inputs.
+        """
+        layers = range(len(self.members))
+        self._pending = [[] for _ in layers]
+        self._history = [[] for _ in layers]
+        self._trusted = [
+            0 if index == 0 or clean[index] else _UNTRUSTED
+            for index in layers
+        ]
+        self._observing = True
+
+    def _stop_observing(self) -> None:
+        """Back to counting: free the per-member bookkeeping."""
+        self._observing = False
+        self._pending = []
+        self._history = []
+        self._trusted = []
+
+    def _count_output(self, datum: Datum) -> None:
+        """Counting mode: the last member produced ``datum``."""
+        self._counters[-1] += 1
+        self._latest = datum
 
     # -- logical time bookkeeping (graph observation) ----------------------------
 
@@ -304,15 +388,21 @@ class Channel(GraphObserver):
         # *during* the host's produce chain: it annotates the pending
         # inputs but must not consume them, or the host's own output
         # would lose its time range.
-        if pending and "#" not in (datum.producer or ""):
+        if pending is not None and "#" not in (datum.producer or ""):
             pending.clear()
+            if self._trusted[index] == _UNTRUSTED:
+                # The inputs held at the start are flushed now.
+                self._trusted[index] = logical_time + 1
         if index == len(self.members) - 1:
+            self._latest = datum
             self._deliver_output(element)
 
     def _deliver_output(self, element: DataTreeElement) -> None:
         if not self._features:
             return
-        tree = self.data_tree_for(element)
+        tree = self._assemble(element, self._trusted)
+        if tree is None:
+            return  # part of the tree predates the bookkeeping
         for feature in list(self._features):
             try:
                 feature.apply(tree)
@@ -330,6 +420,17 @@ class Channel(GraphObserver):
 
     def data_tree_for(self, element: DataTreeElement) -> DataTree:
         """Assemble the tree of elements that contributed to ``element``."""
+        tree = self._assemble(element, None)
+        assert tree is not None  # nothing is rejected without trust bounds
+        return tree
+
+    def _assemble(
+        self, element: DataTreeElement, trusted: Optional[List[int]]
+    ) -> Optional[DataTree]:
+        """The tree behind ``element``; None if ``trusted`` rejects a
+        layer of it."""
+        if trusted is not None and element.logical_time < trusted[element.layer]:
+            return None
         layers: List[List[DataTreeElement]] = [[] for _ in self.members]
         layers[element.layer] = [element]
         span: Optional[Tuple[int, int]] = element.time_range
@@ -337,6 +438,8 @@ class Channel(GraphObserver):
             if span is None:
                 break
             low, high = span
+            if trusted is not None and low < trusted[index]:
+                return None
             selected = [
                 e
                 for e in self._history[index]
@@ -353,25 +456,39 @@ class Channel(GraphObserver):
         return DataTree(layers[: element.layer + 1], names[: element.layer + 1])
 
     def latest_output(self) -> Optional[DataTreeElement]:
-        """The channel's most recent output element, if any."""
-        history = self._history[-1]
-        return history[-1] if history else None
+        """The channel's most recent output element, if any.
+
+        While the channel only counts, the element carries no time
+        range: which inputs it consumed was not tracked.
+        """
+        if self._observing and self._history[-1]:
+            return self._history[-1][-1]
+        datum = self._latest
+        if datum is None:
+            return None
+        last = len(self.members) - 1
+        return DataTreeElement(
+            datum=datum,
+            logical_time=self._counters[last],
+            time_range=None,
+            layer=last,
+            producer=datum.producer or self.members[last].name,
+        )
 
     # -- runtime observability ------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
         """Live runtime statistics for this channel.
 
-        Combines the channel's own logical-time bookkeeping (outputs
-        delivered, feature errors) with the per-member metrics of the
-        graph's observability hub when one is installed.  The member
-        section is empty while observability is disabled.
+        Combines the channel's own output count and feature errors with
+        the per-member metrics of the graph's observability hub when one
+        is installed.  The member section is empty while observability
+        is disabled.
         """
-        latest = self.latest_output()
         hub = self.graph.instrumentation
         return {
             "id": self.id,
-            "outputs_delivered": latest.logical_time if latest else 0,
+            "outputs_delivered": self._counters[-1],
             "feature_errors": self.feature_error_count,
             "members": (
                 {
@@ -387,8 +504,8 @@ class Channel(GraphObserver):
         """Flow trace carried by the latest output datum, if tracing is on."""
         from repro.observability.tracing import trace_of
 
-        latest = self.latest_output()
-        return trace_of(latest.datum) if latest else None
+        datum = self._latest
+        return trace_of(datum) if datum is not None else None
 
     def __repr__(self) -> str:
         return f"Channel({self.id!r}, members={len(self.members)})"

@@ -228,11 +228,7 @@ class ProcessingGraph(ComponentObserver):
         none is, the composed deliveries do not mention it at all.
         """
         previous = self._supervisor
-        if previous is not None:
-            previous._graph = None
         self._supervisor = supervisor
-        if supervisor is not None:
-            supervisor._graph = self
         # Supervision gates fusion entirely: every delivery must cross
         # the supervised boundary (breakers, quarantine, isolation).
         self.invalidate_plan()

@@ -284,9 +284,18 @@ class IngestionGateway:
         crosswalk: Optional[Crosswalk] = None,
         replace: bool = False,
     ) -> SourceAdapter:
-        """Teach the gateway a new wire format (+ optional crosswalk)."""
+        """Teach the gateway a new wire format (+ optional crosswalk).
+
+        A replacing adapter continues the outcome counts of the one it
+        replaces, so the adapters' sums keep matching the gateway's
+        totals.
+        """
         self.formats.register(wire_format, replace=replace)
         adapter = SourceAdapter(wire_format, crosswalk=crosswalk)
+        previous = self._adapters.get(wire_format.name)
+        if previous is not None:
+            for count in ("accepted", "rejected", "shed", "rate_limited", "replayed"):
+                setattr(adapter, count, getattr(previous, count))
         self._adapters[wire_format.name] = adapter
         return adapter
 

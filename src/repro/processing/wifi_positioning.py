@@ -6,28 +6,45 @@ map -- RSSI vectors at known grid positions, built by
 :func:`repro.sensors.wifi.build_radio_map` -- and the online phase is
 weighted k-nearest-neighbours in signal space, producing positions in
 both the building grid and WGS84.
+
+The matcher indexes the radio map once, at construction: the map's APs
+in sorted order, one dense RSSI tuple per survey point (unheard APs at
+the noise floor) and one AP bitmask per point.  Scoring a scan then
+costs one :func:`math.dist` per survey point; the size of each point's
+AP union comes from the bitmasks, counted once per distinct mask (the
+survey points share a handful of coverage sets), and scan APs the map
+never heard add one constant to every point.  The k nearest come from
+:func:`heapq.nsmallest`, ties resolved in radio-map order.  Every sum
+runs in a fixed order, so no estimate depends on the interpreter's hash
+seed.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.core.component import InputPort, OutputPort, ProcessingComponent
 from repro.core.data import Datum, Kind
 from repro.geo.grid import GridPosition, LocalGrid
 from repro.sensors.wifi import WifiScan
 
+#: RSSI assumed for an AP heard in only one of two compared vectors.
+MISSING_DBM = -95.0
+
 
 def signal_distance(
-    a: Mapping[str, float], b: Mapping[str, float], missing_dbm: float = -95.0
+    a: Mapping[str, float], b: Mapping[str, float], missing_dbm: float = MISSING_DBM
 ) -> float:
     """Euclidean distance between RSSI vectors over the union of APs.
 
     APs heard in one vector but not the other count as received at the
-    noise floor, which penalises disagreeing coverage sets.
+    noise floor, which penalises disagreeing coverage sets.  The sum runs
+    over the APs in sorted order, so the result is the same under every
+    hash seed.
     """
-    keys = set(a) | set(b)
+    keys = sorted(set(a) | set(b))
     if not keys:
         return float("inf")
     total = 0.0
@@ -39,7 +56,7 @@ def signal_distance(
 
 
 class FingerprintPositioningComponent(ProcessingComponent):
-    """Weighted-kNN fingerprint matcher over a survey radio map."""
+    """Weighted-kNN fingerprint matcher over an indexed survey radio map."""
 
     def __init__(
         self,
@@ -58,8 +75,34 @@ class FingerprintPositioningComponent(ProcessingComponent):
             inputs=(InputPort("in", (Kind.WIFI_SCAN,)),),
             output=OutputPort((Kind.POSITION_WGS84, Kind.POSITION_GRID)),
         )
-        self.radio_map = [
-            (pos, dict(vector)) for pos, vector in radio_map if vector
+        surveyed = [(pos, vector) for pos, vector in radio_map if vector]
+        # The map's APs in sorted order: the column order of every row.
+        access_points = sorted(
+            {bssid for _pos, vector in surveyed for bssid in vector}
+        )
+        column = {bssid: j for j, bssid in enumerate(access_points)}
+        self._column = column
+        self._positions: List[GridPosition] = []
+        # Coverage bitmask -> (radio-map indexes, dense rows) of the
+        # points that hear exactly that AP set.
+        groups: Dict[int, Tuple[List[int], List[Tuple[float, ...]]]] = {}
+        blank = [MISSING_DBM] * len(column)
+        for index, (pos, vector) in enumerate(surveyed):
+            row = list(blank)
+            mask = 0
+            for bssid, rssi in vector.items():
+                j = column[bssid]
+                row[j] = rssi
+                mask |= 1 << j
+            self._positions.append(pos)
+            group = groups.get(mask)
+            if group is None:
+                group = groups[mask] = ([], [])
+            group[0].append(index)
+            group[1].append(tuple(row))
+        self._groups = [
+            (mask, tuple(indexes), tuple(rows))
+            for mask, (indexes, rows) in groups.items()
         ]
         self.grid = grid
         self.k = k
@@ -97,17 +140,45 @@ class FingerprintPositioningComponent(ProcessingComponent):
             )
         )
 
+    def _scores(self, observed: Mapping[str, float]) -> List[Tuple[float, int]]:
+        """``(signal distance, radio-map index)`` for every survey point.
+
+        Equal to :func:`signal_distance` between the scan and each
+        point's vector, up to rounding.
+        """
+        column = self._column
+        scan_row = [MISSING_DBM] * len(column)
+        scan_mask = 0
+        unmapped = 0  # scan APs no survey point heard
+        unmapped_sq = 0.0  # their squared differences from the floor
+        for bssid, rssi in observed.items():
+            j = column.get(bssid)
+            if j is None:
+                unmapped += 1
+                unmapped_sq += (rssi - MISSING_DBM) ** 2
+            else:
+                scan_row[j] = rssi
+                scan_mask |= 1 << j
+        dist = math.dist
+        sqrt = math.sqrt
+        scored: List[Tuple[float, int]] = []
+        for mask, indexes, rows in self._groups:
+            # int.bit_count needs Python 3.10; one count per coverage set.
+            union = bin(mask | scan_mask).count("1") + unmapped
+            for index, row in zip(indexes, rows):
+                d = dist(scan_row, row)
+                scored.append((sqrt((d * d + unmapped_sq) / union), index))
+        return scored
+
     def estimate(self, scan: WifiScan) -> Tuple[GridPosition, float]:
         """Weighted-kNN estimate and a spread-based accuracy value."""
-        observed = scan.as_dict()
-        scored = sorted(
-            (
-                (signal_distance(observed, vector), pos)
-                for pos, vector in self.radio_map
-            ),
-            key=lambda pair: pair[0],
-        )
-        nearest = scored[: self.k]
+        positions = self._positions
+        nearest = [
+            (distance, positions[index])
+            for distance, index in heapq.nsmallest(
+                self.k, self._scores(scan.as_dict())
+            )
+        ]
         weights = [1.0 / (distance + 1e-3) for distance, _pos in nearest]
         total = sum(weights)
         x = sum(w * pos.x_m for w, (_d, pos) in zip(weights, nearest)) / total
@@ -121,4 +192,4 @@ class FingerprintPositioningComponent(ProcessingComponent):
 
     def map_size(self) -> int:
         """Number of usable survey points (inspection)."""
-        return len(self.radio_map)
+        return len(self._positions)

@@ -52,7 +52,6 @@ from repro.core.data import Datum
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.component import ProcessingComponent
-    from repro.core.graph import ProcessingGraph
     from repro.observability.instrumentation import ObservabilityHub
 
 #: Policy modes.
@@ -66,10 +65,6 @@ _MODES = (PROPAGATE, ISOLATE, QUARANTINE)
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
-
-#: Gauge encoding of health states (``component_health`` metric).
-_HEALTH_GAUGE = {CLOSED: 0, HALF_OPEN: 1, OPEN: 2}
-
 
 class SupervisionError(Exception):
     """Raised on invalid supervision configuration or use."""
@@ -209,9 +204,6 @@ class Supervisor:
     ) -> None:
         self.policy = policy or SupervisionPolicy()
         self._time = time_fn or _time.monotonic
-        # Set by ProcessingGraph.set_supervisor; used to reach the
-        # observability hub for failure/health metrics.
-        self._graph: Optional["ProcessingGraph"] = None
         self._breakers: Dict[str, _Breaker] = {}
         self._records: Deque[FailureRecord] = deque(
             maxlen=self.policy.max_records
@@ -284,7 +276,6 @@ class Supervisor:
             ):
                 breaker.state = HALF_OPEN
                 self._half_open.add(name)
-                self._set_health_gauge(name, HALF_OPEN)
                 self._emit(HALF_OPEN, name, None)
                 return True  # this delivery is the recovery probe
             return False
@@ -317,9 +308,6 @@ class Supervisor:
         window = self.policy.window_s
         while times and now - times[0] > window:
             times.popleft()
-        registry = self._metrics_registry()
-        if registry is not None:
-            registry.counter("supervised_failures", component=name).inc()
         self._emit("failure", name, record)
         if self.policy.mode != QUARANTINE:
             return
@@ -338,10 +326,6 @@ class Supervisor:
         breaker.opened_at = now
         breaker.trips += 1
         breaker.failure_times.clear()
-        registry = self._metrics_registry()
-        if registry is not None:
-            registry.counter("quarantine_trips", component=name).inc()
-        self._set_health_gauge(name, OPEN)
         self._emit(OPEN, name, None)
 
     def _close(self, name: str) -> None:
@@ -350,7 +334,6 @@ class Supervisor:
         if breaker is not None:
             breaker.state = CLOSED
             breaker.failure_times.clear()
-        self._set_health_gauge(name, CLOSED)
         self._emit(CLOSED, name, None)
 
     # -- manual overrides (the PSL-style adaptation surface) ----------------
@@ -366,22 +349,6 @@ class Supervisor:
     def restore(self, name: str) -> None:
         """Force a component ``closed``, clearing its failure window."""
         self._close(name)
-
-    # -- metrics ------------------------------------------------------------
-
-    def _metrics_registry(self):
-        graph = self._graph
-        if graph is None:
-            return None
-        hub = graph.instrumentation
-        return hub.registry if hub is not None else None
-
-    def _set_health_gauge(self, name: str, state: str) -> None:
-        registry = self._metrics_registry()
-        if registry is not None:
-            registry.gauge("component_health", component=name).set(
-                _HEALTH_GAUGE[state]
-            )
 
     # -- listeners ----------------------------------------------------------
 

@@ -632,6 +632,18 @@ class TestGatewayPipeline:
         assert sink.received[0].payload["lat"] == 1.0
         assert "latitude" not in sink.received[0].payload
 
+    def test_replaced_format_continues_its_adapter_counts(self):
+        gateway, engine, _, _ = make_gateway()
+        assert gateway.submit(payload()) == ADMITTED
+        assert gateway.submit(payload(lat=999.0)) == REJECTED
+        pump(gateway, engine)
+        replacement = gateway.register_format(PHONE_TRACKER_V1, replace=True)
+        assert gateway.adapter("phone_tracker_v1") is replacement
+        assert gateway.submit(payload(t=1001.0)) == ADMITTED
+        pump(gateway, engine)
+        assert gateway.accepted == replacement.accepted == 2
+        assert gateway.rejected == replacement.rejected == 1
+
     def test_adapter_lookup_raises_for_unknown_format(self):
         gateway, _, _, _ = make_gateway()
         with pytest.raises(GatewayError):

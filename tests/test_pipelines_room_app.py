@@ -1,5 +1,9 @@
 """Integration test: the Fig. 1 Room Number Application end to end."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core import Criteria, Kind, PerPos
@@ -15,8 +19,7 @@ from repro.sensors.trajectory import Waypoint, WaypointTrajectory
 from repro.sensors.wifi import WifiScanner
 
 
-@pytest.fixture(scope="module")
-def room_app_run():
+def run_room_app(until_s):
     """Walk from outside through the corridor into office N2."""
     building = demo_building()
     grid = building.grid
@@ -46,8 +49,13 @@ def room_app_run():
     )
     middleware = PerPos()
     app = build_room_app(middleware, gps, wifi, building)
-    middleware.run_until(120.0)
+    middleware.run_until(until_s)
     return building, trajectory, middleware, app
+
+
+@pytest.fixture(scope="module")
+def room_app_run():
+    return run_room_app(120.0)
 
 
 class TestRoomApp:
@@ -135,3 +143,39 @@ class TestPipelineBuilders:
         )
         pipeline = build_wifi_pipeline(middleware, wifi, building, prefix="w")
         assert middleware.graph.downstream("w") == [pipeline.engine]
+
+
+class TestHashSeedIndependence:
+    """The room app's outputs must not follow set iteration order."""
+
+    SCRIPT = (
+        "from tests.test_pipelines_room_app import run_room_app\n"
+        "_b, _t, _mw, app = run_room_app(40.0)\n"
+        "print(repr(app.provider.sink.received))\n"
+    )
+
+    def outputs_under(self, hash_seed):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        paths = [root, os.path.join(root, "src")]
+        if os.environ.get("PYTHONPATH"):
+            paths.append(os.environ["PYTHONPATH"])
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=str(hash_seed),
+            PYTHONPATH=os.pathsep.join(paths),
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            env=env,
+            cwd=root,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return result.stdout
+
+    def test_outputs_identical_under_two_hash_seeds(self):
+        first = self.outputs_under(1)
+        # The walk reaches the building: WiFi fixes win fusion.
+        assert "'selected_source': 'wifi-positioning'" in first
+        assert first == self.outputs_under(2)

@@ -1,5 +1,7 @@
 """Tests for the WiFi fingerprint positioning engine."""
 
+import random
+
 import pytest
 
 from repro.core.component import ApplicationSink, SourceComponent
@@ -119,3 +121,82 @@ class TestEngine:
     def test_map_size_inspection(self, engine_setup):
         _b, _env, engine, _s, _sink = engine_setup
         assert engine.map_size() > 100
+
+
+def reference_estimate(radio_map, scan, k=3):
+    """Weighted kNN straight from the definition: score every survey
+    point with signal_distance, sort, weight the k nearest."""
+    observed = scan.as_dict()
+    scored = sorted(
+        (
+            (signal_distance(observed, vector), pos)
+            for pos, vector in radio_map
+            if vector
+        ),
+        key=lambda pair: pair[0],
+    )
+    nearest = scored[:k]
+    weights = [1.0 / (d + 1e-3) for d, _pos in nearest]
+    total = sum(weights)
+    x = sum(w * p.x_m for w, (_d, p) in zip(weights, nearest)) / total
+    y = sum(w * p.y_m for w, (_d, p) in zip(weights, nearest)) / total
+    estimate = GridPosition(x, y, nearest[0][1].floor)
+    spread = max(estimate.distance_to(p) for _d, p in nearest)
+    return estimate, max(spread, 1.0)
+
+
+class TestIndexedMatcher:
+    def noisy_scans(self, environment):
+        rng = random.Random(7)
+        scans = []
+        for _ in range(60):
+            truth = GridPosition(rng.uniform(-5, 35), rng.uniform(-3, 18))
+            observations = [
+                WifiObservation(
+                    ap.bssid,
+                    environment.expected_rssi(ap, truth) + rng.gauss(0, 4),
+                )
+                for ap in environment.access_points
+                if rng.random() < 0.8
+            ]
+            if rng.random() < 0.3:
+                # An AP the survey never heard.
+                observations.append(WifiObservation("ff:ff", -60.0))
+            if observations:
+                scans.append(WifiScan(0.0, tuple(observations)))
+        return scans
+
+    def test_estimates_agree_with_the_reference_matcher(self, engine_setup):
+        _b, environment, engine, _s, _sink = engine_setup
+        radio_map = build_radio_map(environment, demo_survey_positions(2.0))
+        scans = self.noisy_scans(environment)
+        assert any(s.rssi_of("ff:ff") is not None for s in scans)
+        for scan in scans:
+            (estimate, spread) = engine.estimate(scan)
+            (expected, expected_spread) = reference_estimate(radio_map, scan)
+            assert estimate.floor == expected.floor
+            assert estimate.x_m == pytest.approx(expected.x_m, abs=1e-9)
+            assert estimate.y_m == pytest.approx(expected.y_m, abs=1e-9)
+            assert spread == pytest.approx(expected_spread, abs=1e-9)
+
+    def test_distance_ties_resolve_in_radio_map_order(self):
+        building = demo_building()
+        same = {"a": -50.0, "b": -60.0}
+        radio_map = [
+            (GridPosition(9.0, 0.0), {"a": -80.0}),
+            (GridPosition(1.0, 0.0), dict(same)),
+            (GridPosition(2.0, 0.0), dict(same)),
+            (GridPosition(3.0, 0.0), dict(same)),
+        ]
+        engine = FingerprintPositioningComponent(radio_map, building.grid, k=2)
+        scan = WifiScan(
+            0.0, (WifiObservation("a", -50.0), WifiObservation("b", -60.0))
+        )
+        estimate, _spread = engine.estimate(scan)
+        assert estimate.x_m == pytest.approx(1.5)
+
+    def test_signal_distance_is_symmetric_in_every_key_order(self):
+        a = {f"ap{i}": -40.0 - 7.3 * i for i in range(9)}
+        b = {f"ap{i}": -45.0 - 3.1 * i for i in range(3, 12)}
+        shuffled = dict(sorted(a.items(), reverse=True))
+        assert signal_distance(a, b) == signal_distance(b, shuffled)
