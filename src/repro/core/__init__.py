@@ -54,7 +54,6 @@ from repro.observability import (
     ChannelTracingFeature,
     FlowTrace,
     MetricsRegistry,
-    NullMetricsRegistry,
     ObservabilityHub,
     TraceHop,
     TracingFeature,
@@ -114,7 +113,6 @@ __all__ = [
     "ChannelTracingFeature",
     "FlowTrace",
     "MetricsRegistry",
-    "NullMetricsRegistry",
     "ObservabilityHub",
     "TraceHop",
     "TracingFeature",

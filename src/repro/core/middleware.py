@@ -230,7 +230,6 @@ class PerPos:
             clock=self.clock,
             **kwargs,  # type: ignore[arg-type]
         )
-        engine.durability = self.durability
         self._register("perpos.ShardedEngine", engine)
         return engine
 
@@ -358,9 +357,6 @@ class PerPos:
         )
         manager.attach()
         manager.gateway = self.gateway
-        sharding = self.sharding
-        if sharding is not None:
-            sharding.durability = manager
         self._register("perpos.DurabilityManager", manager)
         return manager
 
@@ -368,9 +364,6 @@ class PerPos:
         """Detach durable state (the store's contents stay readable)."""
         manager = self._unregister("perpos.DurabilityManager")
         if manager is not None:
-            sharding = self.sharding
-            if sharding is not None and sharding.durability is manager:
-                sharding.durability = None
             manager.detach()
         return manager
 

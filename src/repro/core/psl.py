@@ -309,16 +309,18 @@ class ProcessStructureLayer:
             raise GraphError("no durability manager installed")
         return manager.restore()
 
+    # -- sharded runtime (the warm-handoff seam) --------------------------------
+
     def migrations(self) -> List[Dict[str, Any]]:
-        """Completed warm lane handoffs recorded by the durability seam.
+        """Completed warm lane handoffs, as the sharded coordinator records them.
 
         Each entry names the migrated target, source/destination shard,
-        datums carried, and the handoff pause.  Empty while no
-        durability manager is installed -- inspection degrades
-        gracefully, like :meth:`component_metrics`.
+        datums carried, and the handoff pause; the history is bounded
+        (newest last).  Empty while no sharded engine is installed --
+        inspection degrades gracefully, like :meth:`component_metrics`.
         """
-        manager = self.registry.find_service("perpos.DurabilityManager")
-        return manager.migrations() if manager is not None else []
+        sharding = self.registry.find_service("perpos.ShardedEngine")
+        return sharding.migrations() if sharding is not None else []
 
     # -- supervision (failure seams) -----------------------------------------
 

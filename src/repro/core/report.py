@@ -119,14 +119,14 @@ def infrastructure_snapshot(middleware: PerPos) -> Dict[str, Any]:
         # scheduler, drain rounds, and per-target ingestion lanes.
         "runtime": _section(middleware.runtime),
         # Sharded runtime (None while sharding is disabled): placement,
-        # per-shard health/engine state, and contained failures.
+        # per-shard health/engine state, contained failures, and the
+        # warm-handoff migration history.
         "sharding": _section(middleware.sharding),
         # Ingestion edge (None while no gateway is installed): wire
         # formats, per-adapter counters, admission queue, DLQ state.
         "gateway": _section(middleware.gateway),
         # Durable state (None while no durability manager is
-        # installed): store backend, snapshot/journal counters, and
-        # the warm-handoff migration history.
+        # installed): store backend and snapshot/journal counters.
         "durability": _section(middleware.durability, "describe"),
         # City scenario workload (None while no runner is installed):
         # population, churn/burst/zone counters, run progress.
@@ -277,7 +277,8 @@ def render_report(middleware: PerPos) -> str:
             f" targets={sharding['targets']},"
             f" rounds={sharding['rounds']},"
             f" drained={sharding['drained_total']},"
-            f" pending={sharding['pending']}"
+            f" pending={sharding['pending']},"
+            f" migrations={sharding['migrations_total']}"
         )
         for entry in sharding["per_shard"]:
             engine_snap = entry["engine"]
@@ -314,8 +315,7 @@ def render_report(middleware: PerPos) -> str:
             f"  snapshots_taken={durability['snapshots_taken']}"
             f" (last={durability['last_snapshot_bytes']}B),"
             f" restores={durability['restores']}"
-            f" (replayed={durability['entries_replayed']}),"
-            f" migrations={durability['migrations']}"
+            f" (replayed={durability['entries_replayed']})"
         )
     scenario = snapshot["scenario"]
     lines.append("")

@@ -1,4 +1,4 @@
-"""Durable state: snapshot/restore, crash-recovery replay, warm handoff.
+"""Durable state: snapshot/restore and crash-recovery replay.
 
 Everything in the engine is in-memory and dies with the process; this
 package makes *where state lives* a pluggable policy instead of engine
@@ -8,8 +8,10 @@ their counters, queue contents, component state, supervision, gateway
 dead letters, the hub's graph metric series — plus incremental journal
 entries between snapshots, and :func:`restore_state` rebuilds a live
 engine from the latest snapshot and replays the journal
-deterministically.  :class:`DurabilityManager` keeps the counts of its
-own activity (snapshots, restores, entries replayed, migrations).
+deterministically.  :class:`DurabilityManager` covers the single engine
+it journals and keeps the counts of its own activity (snapshots,
+restores, entries replayed); warm handoffs between shards are recorded
+by the sharded coordinator (``ShardedEngine.migrations()``).
 """
 
 from repro.durability.codec import decode_value, encode_value

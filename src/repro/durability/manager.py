@@ -14,11 +14,12 @@ uninterrupted run at every drain boundary.
 
 :class:`DurabilityManager` ties it together: it owns the store, attaches
 the journal to the engine, auto-snapshots every ``snapshot_every``
-entries, records warm-handoff migrations, and surfaces everything to
-the PSL and the infrastructure report through its
-``perpos.DurabilityManager`` service registration.  Its own counters
-(snapshots, bytes, restores, entries replayed, migrations) are the only
-record of that activity; :meth:`DurabilityManager.describe` shows them.
+entries, and surfaces everything to the PSL and the infrastructure
+report through its ``perpos.DurabilityManager`` service registration.
+It covers exactly the single engine it journals: warm handoffs between
+shards are the sharded coordinator's record, not this one's.  Its own
+counters (snapshots, bytes, restores, entries replayed) are the only
+record of its activity; :meth:`DurabilityManager.describe` shows them.
 """
 
 from __future__ import annotations
@@ -35,9 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 
 #: Snapshot schema version, checked on restore.
 STATE_VERSION = 1
-
-#: Bound on the manager's recorded migration history.
-MAX_MIGRATIONS = 256
 
 
 class DurabilityError(Exception):
@@ -264,18 +262,13 @@ class DurabilityManager:
         self.snapshot_every = snapshot_every
         self.journal: Optional[DurabilityJournal] = None
         #: The ingestion gateway whose DLQ snapshots capture and restores
-        #: reinstate; set by :class:`~repro.core.middleware.PerPos`, the
-        #: way it sets ``ShardedEngine.durability``.
+        #: reinstate; set by :class:`~repro.core.middleware.PerPos`.
         self.gateway: Optional[Any] = None
         self.snapshots_taken = 0
         self.restores = 0
         #: Journal entries replayed, summed over every restore.
         self.entries_replayed = 0
         self.last_snapshot_bytes = 0
-        #: Migrations recorded, uncapped; ``_migrations`` keeps only the
-        #: last ``MAX_MIGRATIONS`` records.
-        self.migrations_total = 0
-        self._migrations: List[Dict[str, Any]] = []
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -349,17 +342,6 @@ class DurabilityManager:
             return None
         return decode_value(entry["dlq"])
 
-    # -- migration bookkeeping (driven by ShardedEngine) -------------------
-
-    def record_migration(self, info: Dict[str, Any]) -> None:
-        self.migrations_total += 1
-        self._migrations.append(dict(info))
-        if len(self._migrations) > MAX_MIGRATIONS:
-            del self._migrations[: len(self._migrations) - MAX_MIGRATIONS]
-
-    def migrations(self) -> List[Dict[str, Any]]:
-        return [dict(info) for info in self._migrations]
-
     # -- inspection --------------------------------------------------------
 
     def describe(self) -> Dict[str, Any]:
@@ -371,7 +353,6 @@ class DurabilityManager:
             "restores": self.restores,
             "entries_replayed": self.entries_replayed,
             "last_snapshot_bytes": self.last_snapshot_bytes,
-            "migrations": self.migrations_total,
             "journal": (
                 self.journal.describe() if self.journal is not None else None
             ),

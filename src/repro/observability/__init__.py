@@ -5,8 +5,7 @@ The paper's translucency stack reifies structure (PSL tree), channels
 *runtime* rung -- what the process actually did.  Three modules:
 
 * :mod:`repro.observability.metrics` -- counters, gauges, latency
-  histograms; clock-injected, with a zero-cost null registry as the
-  disabled default;
+  histograms; clock-injected, plus the cross-shard snapshot merges;
 * :mod:`repro.observability.tracing` -- :class:`FlowTrace`, the ordered
   component path (with timestamps) a datum traversed, carried on the
   datum itself;
@@ -30,15 +29,9 @@ from repro.observability.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_REGISTRY,
-    NullMetricsRegistry,
-    default_registry,
-    global_state_token,
     merge_component_stats,
     merge_histogram_summaries,
     merge_snapshots,
-    reset_global_state,
-    set_default_registry,
 )
 from repro.observability.tracing import (
     TRACE_ATTR,
@@ -57,15 +50,9 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
-    "NullMetricsRegistry",
-    "default_registry",
-    "global_state_token",
     "merge_component_stats",
     "merge_histogram_summaries",
     "merge_snapshots",
-    "reset_global_state",
-    "set_default_registry",
     "TRACE_ATTR",
     "FlowTrace",
     "TraceHop",

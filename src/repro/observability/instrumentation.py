@@ -53,10 +53,7 @@ from repro.core.channel import ChannelFeature
 from repro.core.data import Datum
 from repro.core.datatree import DataTree
 from repro.core.features import ComponentFeature
-from repro.observability.metrics import (
-    MetricsRegistry,
-    default_registry,
-)
+from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import (
     FlowTrace,
     TraceHop,
@@ -330,9 +327,9 @@ class TracingFeature(ComponentFeature):
     Installable through the paper's per-component extension seam
     (:meth:`ProcessStructureLayer.attach_feature`), independent of any
     hub: it keeps a bounded in-memory event log -- ``(time, direction,
-    kind, producer)`` -- and mirrors event counts into ``registry`` (the
-    process-wide default registry unless one is given, so attaching it
-    is free while observability is globally disabled).
+    kind, producer)`` -- and, when given a ``registry``, counts the
+    events there too (``feature_events``); without one it counts
+    nowhere.
 
     Its public methods (``events``, ``last_event``, ``clear``) surface
     through the component's reflective API like any feature methods.
@@ -353,14 +350,12 @@ class TracingFeature(ComponentFeature):
         self._events: List[Tuple[float, str, str, str]] = []
 
     def _record(self, direction: str, datum: Datum) -> None:
-        registry = (
-            self._registry if self._registry is not None else default_registry()
-        )
-        registry.counter(
-            "feature_events",
-            component=self.component.name,
-            direction=direction,
-        ).inc()
+        if self._registry is not None:
+            self._registry.counter(
+                "feature_events",
+                component=self.component.name,
+                direction=direction,
+            ).inc()
         stamp = self._time() if self._time is not None else datum.timestamp
         self._events.append((stamp, direction, datum.kind, datum.producer))
         if len(self._events) > self._keep_last:

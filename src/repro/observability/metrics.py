@@ -8,21 +8,10 @@ a :class:`MetricsRegistry` built over the
 :class:`~repro.clock.SimulationClock` records fully deterministic
 latencies, which is what keeps the observability tests reproducible.
 
-Two registry flavours exist:
-
-* :class:`MetricsRegistry` -- the real thing: lazily-created counters,
-  gauges and histograms keyed by ``(name, labels)``.
-* :class:`NullMetricsRegistry` -- the disabled default: every lookup
-  returns a shared no-op instrument, so instrumented code pays one
-  attribute call and nothing else.
-
-A process-wide *default registry* (:func:`default_registry` /
-:func:`set_default_registry`) lets loosely-coupled instrumentation (for
-example :class:`~repro.observability.instrumentation.TracingFeature`)
-record without a hub reference.  It starts out as the shared null
-registry; tests that swap it in must swap it back -- the tier-1 suite has
-a guard fixture that fails any test leaking global observability state
-(see ``tests/conftest.py``).
+A :class:`MetricsRegistry` holds lazily-created counters, gauges and
+histograms keyed by ``(name, labels)``.  There is no process-wide
+registry: whatever records gets its registry handed to it (the hub
+owns one per graph), and recording without one means not recording.
 """
 
 from __future__ import annotations
@@ -156,36 +145,15 @@ class Histogram:
         }
 
 
-class _Timer:
-    """Context manager recording elapsed ``time_fn`` into a histogram."""
-
-    __slots__ = ("_histogram", "_time_fn", "_start")
-
-    def __init__(
-        self, histogram: Histogram, time_fn: Callable[[], float]
-    ) -> None:
-        self._histogram = histogram
-        self._time_fn = time_fn
-
-    def __enter__(self) -> "_Timer":
-        self._start = self._time_fn()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self._histogram.observe(self._time_fn() - self._start)
-
-
 class MetricsRegistry:
     """Lazily-created, label-keyed metric instruments.
 
-    ``time_fn`` is the injected clock for :meth:`timer`; pass
+    ``time_fn`` is the injected clock that latency recorders built over
+    this registry (the hub, unless given its own) read; pass
     ``lambda: clock.now`` to drive latencies from the simulation clock
     (deterministic) or leave the ``time.monotonic`` default for
     wall-clock measurement.
     """
-
-    #: Whether instruments returned by this registry record anything.
-    enabled: bool = True
 
     def __init__(self, time_fn: Optional[Callable[[], float]] = None) -> None:
         self.time_fn: Callable[[], float] = time_fn or time.monotonic
@@ -221,10 +189,6 @@ class MetricsRegistry:
             instrument = self._histograms[key] = Histogram(buckets)
         return instrument
 
-    def timer(self, name: str, **labels: Any) -> _Timer:
-        """``with registry.timer("step"):`` records the block's latency."""
-        return _Timer(self.histogram(name, **labels), self.time_fn)
-
     # -- inspection --------------------------------------------------------
 
     def series(
@@ -255,10 +219,6 @@ class MetricsRegistry:
             },
         }
 
-    def fingerprint(self) -> str:
-        """Stable digest of current state; used by the test-state guard."""
-        return repr(self.snapshot())
-
     def reset(self) -> None:
         """Zero every instrument (series identities are kept)."""
         for group in (self._counters, self._gauges, self._histograms):
@@ -275,122 +235,6 @@ class MetricsRegistry:
         return (
             len(self._counters) + len(self._gauges) + len(self._histograms)
         )
-
-
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, delta: float) -> None:
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-class _NullTimer:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        pass
-
-
-class NullMetricsRegistry(MetricsRegistry):
-    """The zero-cost-when-disabled registry: every instrument is a no-op.
-
-    All lookups return shared singleton instruments whose recording
-    methods do nothing, so disabled instrumentation costs one method
-    call and no allocation.
-    """
-
-    enabled = False
-
-    _COUNTER = _NullCounter()
-    _GAUGE = _NullGauge()
-    _HISTOGRAM = _NullHistogram()
-    _TIMER = _NullTimer()
-
-    def counter(self, name: str, **labels: Any) -> Counter:
-        return self._COUNTER
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self._GAUGE
-
-    def histogram(
-        self,
-        name: str,
-        buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
-        **labels: Any,
-    ) -> Histogram:
-        return self._HISTOGRAM
-
-    def timer(self, name: str, **labels: Any) -> "_NullTimer":  # type: ignore[override]
-        return self._TIMER
-
-    def series(self) -> Iterator[Tuple[str, str, Dict[str, str], Any]]:
-        return iter(())
-
-    def fingerprint(self) -> str:
-        return "<null>"
-
-
-#: Shared disabled registry; also the initial process-wide default.
-NULL_REGISTRY = NullMetricsRegistry()
-
-_default_registry: MetricsRegistry = NULL_REGISTRY
-
-
-def default_registry() -> MetricsRegistry:
-    """The process-wide registry for hub-less instrumentation."""
-    return _default_registry
-
-
-def set_default_registry(
-    registry: Optional[MetricsRegistry],
-) -> MetricsRegistry:
-    """Swap the process-wide default; returns the previous registry.
-
-    Passing ``None`` restores the shared null registry.  Anything that
-    swaps the default (tests included) is responsible for restoring it;
-    the tier-1 conftest guard fails tests that leak a swapped default.
-    """
-    global _default_registry
-    previous = _default_registry
-    _default_registry = registry if registry is not None else NULL_REGISTRY
-    return previous
-
-
-def global_state_token() -> Tuple[int, str]:
-    """Opaque token identifying global observability state.
-
-    Equal tokens before and after a block mean the block neither swapped
-    the default registry nor left recordings behind in it.
-    """
-    return (id(_default_registry), _default_registry.fingerprint())
-
-
-def reset_global_state() -> None:
-    """Restore the pristine global default (null registry, empty)."""
-    global _default_registry
-    if isinstance(_default_registry, MetricsRegistry):
-        _default_registry.clear()
-    _default_registry = NULL_REGISTRY
 
 
 # -- cross-registry merging (sharded runtime) --------------------------------

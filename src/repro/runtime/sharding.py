@@ -28,7 +28,8 @@ Separations that matter:
   every merged surface stays renderable.  ``restore_shard`` readmits a
   healed shard.
 
-Two executors share the coordinator logic:
+Two executors run one shard body, :class:`InProcessShard`, whose
+:data:`SHARD_OPS` methods are the whole shard protocol:
 
 ``inprocess``
     Deterministic, simulated-clock, tier-1 testable.  Shards drain
@@ -36,18 +37,17 @@ Two executors share the coordinator logic:
     single-engine run partitioned the same way (the property pinned by
     ``tests/test_property_sharding.py``).
 ``multiprocessing``
-    Real parallelism: each shard lives in a worker process (built there
-    from the same recipe, which must therefore be picklable) and drains
-    concurrently; the coordinator speaks a small command protocol over
-    pipes.  Gated by the E13 benchmark
-    (``benchmarks/bench_shard_runtime.py``).
+    Real parallelism: each worker process builds the shard from the same
+    recipe (which must therefore be picklable) and drains concurrently;
+    :class:`ProcessShard` forwards each protocol call over a pipe.
+    Gated by the E13 benchmark (``benchmarks/bench_shard_runtime.py``).
 """
 
 from __future__ import annotations
 
-import abc
 import multiprocessing
 import time as _time
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -156,31 +156,28 @@ def materialise_graph(recipe: GraphRecipe) -> ProcessingGraph:
     return built
 
 
-def _sink_outputs(graph: ProcessingGraph) -> List[Tuple[str, str, Any, Any]]:
-    """Every datum held by the graph's ApplicationSinks, as plain tuples.
-
-    ``(sink, kind, payload, target)`` rows -- picklable, so workers can
-    ship them to the coordinator for equivalence checks and demos.
-    """
-    from repro.core.component import ApplicationSink
-
-    rows: List[Tuple[str, str, Any, Any]] = []
-    for component in graph.components():
-        if isinstance(component, ApplicationSink):
-            rows.extend(
-                (
-                    component.name,
-                    datum.kind,
-                    datum.payload,
-                    datum.attributes.get("target"),
-                )
-                for datum in component.received
-            )
-    return rows
+#: The shard protocol: the :class:`InProcessShard` methods a worker
+#: process serves and :class:`ProcessShard` forwards over its pipe.
+SHARD_OPS = (
+    "track",
+    "untrack",
+    "submit",
+    "submit_many",
+    "set_policy",
+    "drain_round",
+    "drain_all",
+    "export_lane",
+    "install_lane",
+    "snapshot",
+    "component_health",
+    "component_stats",
+    "metrics_snapshot",
+    "sink_outputs",
+)
 
 
-class _ShardBase(abc.ABC):
-    """One shard as the coordinator sees it: engine ops + health state."""
+class _ShardBase:
+    """One shard's health state as the coordinator sees it."""
 
     def __init__(self, shard_id: int) -> None:
         self.shard_id = shard_id
@@ -199,65 +196,20 @@ class _ShardBase(abc.ABC):
         self.status = SHARD_HEALTHY
         self.error = None
 
-    # -- engine operations (implemented per executor) ----------------------
-
-    @abc.abstractmethod
-    def track(self, target_id: str, source: str, **kwargs: Any) -> None: ...
-
-    @abc.abstractmethod
-    def untrack(self, target_id: str) -> None: ...
-
-    @abc.abstractmethod
-    def submit(self, target_id: str, datum: Datum) -> str: ...
-
-    @abc.abstractmethod
-    def submit_many(self, items: List[Tuple[str, Datum]]) -> Dict[str, int]: ...
-
-    @abc.abstractmethod
-    def set_policy(self, target_id: str, **kwargs: Any) -> Dict[str, Any]: ...
-
-    @abc.abstractmethod
-    def begin_drain(self, op: str, max_rounds: int) -> None:
-        """Start one drain (``"round"`` or ``"all"``); result pending."""
-
-    @abc.abstractmethod
-    def finish_drain(self) -> int:
-        """Collect the pending drain's datum count (or raise its error)."""
-
-    @abc.abstractmethod
-    def export_lane(self, target_id: str) -> Dict[str, Any]:
-        """Detach one lane (with queue contents) for migration."""
-
-    @abc.abstractmethod
-    def install_lane(self, payload: Dict[str, Any]) -> None:
-        """Install a lane exported from another shard, state intact."""
-
-    @abc.abstractmethod
-    def snapshot(self) -> Dict[str, Any]: ...
-
-    @abc.abstractmethod
-    def component_health(self) -> Dict[str, str]: ...
-
-    @abc.abstractmethod
-    def component_stats(self) -> Dict[str, Dict[str, Any]]: ...
-
-    @abc.abstractmethod
-    def metrics_snapshot(self) -> Dict[str, Dict[str, Any]]: ...
-
-    @abc.abstractmethod
-    def sink_outputs(self) -> List[Tuple[str, str, Any, Any]]: ...
-
     def close(self) -> None:
         """Release executor resources; no-op for in-process shards."""
 
 
 class InProcessShard(_ShardBase):
-    """A shard living in the coordinator's interpreter.
+    """The shard body: one private graph, engine, hub and supervisor.
 
-    Fully deterministic (drains run synchronously in shard order) and
-    fully transparent: tests and operators can reach ``graph``,
-    ``engine``, ``hub`` and ``supervisor`` directly -- the translucency
-    story survives sharding in this mode.
+    Under the in-process executor it lives in the coordinator's
+    interpreter: fully deterministic (drains run synchronously in shard
+    order) and fully transparent -- tests and operators can reach
+    ``graph``, ``engine``, ``hub`` and ``supervisor`` directly, so the
+    translucency story survives sharding in this mode.  Under the
+    multiprocessing executor a worker process builds one and serves its
+    :data:`SHARD_OPS` methods over a pipe.
     """
 
     mode = IN_PROCESS
@@ -309,6 +261,12 @@ class InProcessShard(_ShardBase):
     def set_policy(self, target_id: str, **kwargs: Any) -> Dict[str, Any]:
         return self.engine.set_policy(target_id, **kwargs)
 
+    def drain_round(self) -> int:
+        return self.engine.drain_round()
+
+    def drain_all(self, max_rounds: int) -> int:
+        return self.engine.drain_all(max_rounds)
+
     def begin_drain(self, op: str, max_rounds: int) -> None:
         # Synchronous by design: sequential shard order is what makes
         # the in-process mode deterministic.  The error is captured so
@@ -316,9 +274,9 @@ class InProcessShard(_ShardBase):
         # containment logic expects, mirroring the worker protocol.
         try:
             if op == "round":
-                self._pending = (self.engine.drain_round(), None)
+                self._pending = (self.drain_round(), None)
             else:
-                self._pending = (self.engine.drain_all(max_rounds), None)
+                self._pending = (self.drain_all(max_rounds), None)
         except BaseException as exc:  # noqa: BLE001 - re-raised in finish_drain
             self._pending = (None, exc)
 
@@ -352,7 +310,26 @@ class InProcessShard(_ShardBase):
         return self.hub.registry.snapshot() if self.hub is not None else {}
 
     def sink_outputs(self) -> List[Tuple[str, str, Any, Any]]:
-        return _sink_outputs(self.graph)
+        """Every datum held by the graph's ApplicationSinks, as plain tuples.
+
+        ``(sink, kind, payload, target)`` rows -- picklable, so workers can
+        ship them to the coordinator for equivalence checks and demos.
+        """
+        from repro.core.component import ApplicationSink
+
+        rows: List[Tuple[str, str, Any, Any]] = []
+        for component in self.graph.components():
+            if isinstance(component, ApplicationSink):
+                rows.extend(
+                    (
+                        component.name,
+                        datum.kind,
+                        datum.payload,
+                        datum.attributes.get("target"),
+                    )
+                    for datum in component.received
+                )
+        return rows
 
 
 def _shard_worker(
@@ -363,28 +340,23 @@ def _shard_worker(
     stamp_targets: bool,
     observability: bool,
     supervision: Optional["SupervisionPolicy"],
-) -> None:  # pragma: no cover - runs in a child process, untraceable
-    """Worker-process loop: one shard served over a pipe.
+) -> None:
+    """Worker-process loop: one :class:`InProcessShard` served over a pipe.
 
-    Every request is answered with ``("ok", result)`` or ``("error",
-    "Type: message")`` -- exceptions never kill the worker, so a shard
-    that failed a drain still answers snapshot/health requests, which is
-    what keeps degraded shards inspectable.
+    Each ``(op, args, kwargs)`` request names a :data:`SHARD_OPS` method
+    and is answered with ``("ok", result)`` or ``("error", "Type:
+    message")`` -- exceptions (an unknown op included) never kill the
+    worker, so a shard that failed a drain still answers snapshot/health
+    requests, which is what keeps degraded shards inspectable.
     """
     try:
-        graph = materialise_graph(recipe)
-        hub: Optional[ObservabilityHub] = None
-        if observability:
-            hub = ObservabilityHub(MetricsRegistry(), tracing=False)
-            graph.set_instrumentation(hub)
-        if supervision is not None:
-            from repro.robustness.supervision import Supervisor
-
-            graph.set_supervisor(Supervisor(supervision))
-        engine = PositioningEngine(
-            graph,
-            scheduler=build_scheduler(scheduler_spec),
+        shard = InProcessShard(
+            shard_id,
+            recipe,
+            scheduler_spec,
             stamp_targets=stamp_targets,
+            observability=observability,
+            supervision=supervision,
         )
     except Exception as exc:  # noqa: BLE001 - reported to the coordinator
         conn.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -400,60 +372,25 @@ def _shard_worker(
             conn.send(("ok", None))
             break
         try:
-            if op == "track":
-                engine.track(*args, **kwargs)
-                result: Any = None
-            elif op == "untrack":
-                engine.untrack(*args)
-                result = None
-            elif op == "submit":
-                result = engine.submit(*args)
-            elif op == "submit_many":
-                verdicts: Dict[str, int] = {}
-                for target_id, datum in args[0]:
-                    verdict = engine.submit(target_id, datum)
-                    verdicts[verdict] = verdicts.get(verdict, 0) + 1
-                result = verdicts
-            elif op == "set_policy":
-                result = engine.set_policy(*args, **kwargs)
-            elif op == "drain_round":
-                result = engine.drain_round()
-            elif op == "drain_all":
-                result = engine.drain_all(*args)
-            elif op == "snapshot":
-                result = engine.snapshot()
-            elif op == "component_health":
-                supervisor = graph.supervisor
-                result = supervisor.health_states() if supervisor is not None else {}
-            elif op == "component_stats":
-                result = hub.component_stats() if hub is not None else {}
-            elif op == "metrics_snapshot":
-                result = hub.registry.snapshot() if hub is not None else {}
-            elif op == "export_lane":
-                result = engine.export_lane(*args)
-            elif op == "install_lane":
-                engine.install_lane(*args)
-                result = None
-            elif op == "sink_outputs":
-                result = _sink_outputs(graph)
-            else:
+            if op not in SHARD_OPS:
                 raise ShardingError(f"unknown shard op {op!r}")
-            conn.send(("ok", result))
+            conn.send(("ok", getattr(shard, op)(*args, **kwargs)))
         except Exception as exc:  # noqa: BLE001 - protocol error channel
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
     conn.close()
 
 
 class ProcessShard(_ShardBase):
-    """A shard served by a worker process over a pipe.
+    """The pipe transport to an :class:`InProcessShard` in a worker process.
 
     The recipe, scheduler spec and supervision policy cross the process
     boundary once at startup (they must be picklable -- module-level
     recipes, tuple scheduler specs); afterwards only datums and plain
-    dicts travel.  ``begin_drain`` / ``finish_drain`` split the
-    request/response round-trip so the coordinator can have *every*
-    worker draining before it blocks on the first result -- that split
-    is where the parallel speedup lives.
+    dicts travel.  Every :data:`SHARD_OPS` name is forwarded as one
+    request/response round-trip.  ``begin_drain`` / ``finish_drain``
+    split that round-trip so the coordinator can have *every* worker
+    draining before it blocks on the first result -- that split is where
+    the parallel speedup lives.
     """
 
     mode = MULTIPROCESSING
@@ -527,22 +464,14 @@ class ProcessShard(_ShardBase):
         self._cast(op, *args, **kwargs)
         return self._collect()
 
-    # -- engine operations --------------------------------------------------
-
-    def track(self, target_id: str, source: str, **kwargs: Any) -> None:
-        self._call("track", target_id, source, **kwargs)
-
-    def untrack(self, target_id: str) -> None:
-        self._call("untrack", target_id)
-
-    def submit(self, target_id: str, datum: Datum) -> str:
-        return self._call("submit", target_id, datum)
-
-    def submit_many(self, items: List[Tuple[str, Datum]]) -> Dict[str, int]:
-        return self._call("submit_many", items)
-
-    def set_policy(self, target_id: str, **kwargs: Any) -> Dict[str, Any]:
-        return self._call("set_policy", target_id, **kwargs)
+    def __getattr__(self, op: str) -> Callable[..., Any]:
+        # Only reached for names that are not real attributes: the shard
+        # protocol, one pipe round-trip per call.
+        if op not in SHARD_OPS:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {op!r}"
+            )
+        return partial(self._call, op)
 
     def begin_drain(self, op: str, max_rounds: int) -> None:
         if op == "round":
@@ -552,27 +481,6 @@ class ProcessShard(_ShardBase):
 
     def finish_drain(self) -> int:
         return self._collect()
-
-    def export_lane(self, target_id: str) -> Dict[str, Any]:
-        return self._call("export_lane", target_id)
-
-    def install_lane(self, payload: Dict[str, Any]) -> None:
-        self._call("install_lane", payload)
-
-    def snapshot(self) -> Dict[str, Any]:
-        return self._call("snapshot")
-
-    def component_health(self) -> Dict[str, str]:
-        return self._call("component_health")
-
-    def component_stats(self) -> Dict[str, Dict[str, Any]]:
-        return self._call("component_stats")
-
-    def metrics_snapshot(self) -> Dict[str, Dict[str, Any]]:
-        return self._call("metrics_snapshot")
-
-    def sink_outputs(self) -> List[Tuple[str, str, Any, Any]]:
-        return self._call("sink_outputs")
 
     def close(self) -> None:
         if self._process.is_alive():
@@ -594,6 +502,10 @@ class ProcessShard(_ShardBase):
                 self._process.terminate()
                 self._process.join(timeout=5)
         self._conn.close()
+
+
+#: A shard handle as the coordinator holds it: the body or its transport.
+Shard = Union[InProcessShard, ProcessShard]
 
 
 class ShardedEngine:
@@ -664,36 +576,25 @@ class ShardedEngine:
         self._failure_limit = failure_limit
         self._failures: List[Dict[str, Any]] = []
         self._migrations: List[Dict[str, Any]] = []
-        # Optional DurabilityManager bridge: when set (enable_durability
-        # wires it), completed handoffs also land in the durability
-        # seam's migration history and hub counters.
-        self.durability: Optional[Any] = None
-        self._shards: List[_ShardBase] = []
+        #: Completed warm handoffs, uncapped; ``_migrations`` keeps only
+        #: the last ``failure_limit`` records.
+        self.migrations_total = 0
+        make_shard: Callable[..., Shard] = InProcessShard
+        if executor == MULTIPROCESSING:
+            make_shard = partial(ProcessShard, mp_context=mp_context)
+        self._shards: List[Shard] = []
         try:
             for shard_id in range(shards):
-                if executor == IN_PROCESS:
-                    self._shards.append(
-                        InProcessShard(
-                            shard_id,
-                            recipe,
-                            scheduler,
-                            stamp_targets=stamp_targets,
-                            observability=observability,
-                            supervision=supervision,
-                        )
+                self._shards.append(
+                    make_shard(
+                        shard_id,
+                        recipe,
+                        scheduler,
+                        stamp_targets=stamp_targets,
+                        observability=observability,
+                        supervision=supervision,
                     )
-                else:
-                    self._shards.append(
-                        ProcessShard(
-                            shard_id,
-                            recipe,
-                            scheduler,
-                            stamp_targets=stamp_targets,
-                            observability=observability,
-                            supervision=supervision,
-                            mp_context=mp_context,
-                        )
-                    )
+                )
         except BaseException:
             self.close()
             raise
@@ -718,14 +619,14 @@ class ShardedEngine:
     def shard_count(self) -> int:
         return len(self._shards)
 
-    def shard(self, shard_id: int) -> _ShardBase:
+    def shard(self, shard_id: int) -> Shard:
         """One shard's handle (the live in-process shard, or the proxy)."""
         try:
             return self._shards[shard_id]
         except IndexError:
             raise ShardingError(f"no shard {shard_id}") from None
 
-    def shards(self) -> List[_ShardBase]:
+    def shards(self) -> List[Shard]:
         """All shard handles, in shard-id order."""
         return list(self._shards)
 
@@ -873,15 +774,18 @@ class ShardedEngine:
             "datums": len(payload["queue"]["items"]),
             "pause_s": pause_s,
         }
+        self.migrations_total += 1
         self._migrations.append(record)
         if len(self._migrations) > self._failure_limit:
             del self._migrations[: len(self._migrations) - self._failure_limit]
-        if self.durability is not None:
-            self.durability.record_migration(record)
         return record
 
     def migrations(self) -> List[Dict[str, Any]]:
-        """Bounded history of completed warm handoffs (newest last)."""
+        """Bounded history of completed warm handoffs (newest last).
+
+        The one record of every handoff: ``psl.migrations()`` and the
+        report read it here, durability or not.
+        """
         return [dict(record) for record in self._migrations]
 
     def rebalance(
@@ -967,7 +871,7 @@ class ShardedEngine:
         # the realistic crash mode), so it gets the same containment as
         # finish_drain -- and only shards whose begin succeeded are
         # collected, keeping the pipe protocol in sync for survivors.
-        started: List[_ShardBase] = []
+        started: List[Shard] = []
         for shard in active:
             try:
                 shard.begin_drain(op, max_rounds)
@@ -985,7 +889,7 @@ class ShardedEngine:
         self.drained_total += total
         return total
 
-    def _record_failure(self, shard: _ShardBase, op: str, exc: BaseException) -> None:
+    def _record_failure(self, shard: Shard, op: str, exc: BaseException) -> None:
         message = (
             str(exc)
             if isinstance(exc, ShardRemoteError)
@@ -1045,7 +949,7 @@ class ShardedEngine:
 
     # -- merged surfaces (the facade) ------------------------------------------
 
-    def _per_shard(self, call: Callable[[_ShardBase], Any], fallback: Any) -> List[Any]:
+    def _per_shard(self, call: Callable[[Shard], Any], fallback: Any) -> List[Any]:
         """Apply ``call`` to every shard, degrading instead of raising."""
         results = []
         for shard in self._shards:
@@ -1147,5 +1051,6 @@ class ShardedEngine:
             "truncated": truncated,
             "failures": self.failures(),
             "migrations": self.migrations(),
+            "migrations_total": self.migrations_total,
             "per_shard": per_shard,
         }

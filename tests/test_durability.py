@@ -502,18 +502,29 @@ class TestMigrateTarget:
         assert engine.migrations() == []
         engine.close()
 
-    def test_durability_bridge_records_migration(self):
-        graph = build_graph()
-        pos = PositioningEngine(graph)
-        manager = DurabilityManager(graph, MemoryStateStore())
-        manager.attach()
-        engine = self.make()
-        engine.durability = manager
+    def test_migration_is_inspectable_without_durability(self):
+        # The coordinator holds the one record of a handoff, so the PSL
+        # and the report show it with no durability manager installed.
+        pp = PerPos()
+        engine = pp.enable_sharding(recipe, 3)
         self.seed(engine, targets=("a",))
         to_shard = (engine.shard_of("a") + 1) % 3
-        engine.migrate_target("a", to_shard)
-        assert len(manager.migrations()) == 1
-        assert manager.migrations()[0]["to"] == to_shard
+        record = engine.migrate_target("a", to_shard)
+        assert pp.durability is None
+        assert pp.psl.migrations() == [record]
+        sharding = render_report(pp).split("sharding:")[1].split("\n\n")[0]
+        assert "migrations=1" in sharding
+        pp.disable_sharding()
+        assert pp.psl.migrations() == []
+
+    def test_migrations_total_outlives_the_bounded_history(self):
+        engine = ShardedEngine(recipe, 2, failure_limit=2)
+        self.seed(engine, targets=("a",))
+        for _ in range(3):
+            engine.migrate_target("a", 1 - engine.shard_of("a"))
+        assert len(engine.migrations()) == 2
+        assert engine.migrations_total == 3
+        assert engine.snapshot()["migrations_total"] == 3
         engine.close()
 
 

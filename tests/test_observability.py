@@ -23,18 +23,11 @@ from repro.observability import (
     ChannelTracingFeature,
     FlowTrace,
     MetricsRegistry,
-    NullMetricsRegistry,
     ObservabilityHub,
     TraceHop,
     TracingFeature,
-    metrics as metrics_module,
     trace_of,
     with_trace,
-)
-from repro.observability.metrics import (
-    NULL_REGISTRY,
-    default_registry,
-    set_default_registry,
 )
 
 
@@ -125,15 +118,6 @@ class TestHistogram:
 
 
 class TestClockInjection:
-    def test_timer_uses_injected_clock(self):
-        clock = SimulationClock()
-        registry = MetricsRegistry(time_fn=lambda: clock.now)
-        with registry.timer("step"):
-            clock.advance(2.5)
-        summary = registry.histogram("step").summary()
-        assert summary["count"] == 1
-        assert summary["sum"] == pytest.approx(2.5)
-
     def test_hub_hop_timestamps_follow_simulation_clock(self):
         clock = SimulationClock(start=100.0)
         graph, source, sink = build_chain()
@@ -163,58 +147,6 @@ class TestSnapshotAndReset:
         assert registry.snapshot()["counters"] == {"items": 0}
         registry.clear()
         assert len(registry) == 0
-
-
-class TestNullRegistry:
-    def test_all_instruments_are_noops(self):
-        registry = NullMetricsRegistry()
-        registry.counter("a", component="x").inc(10)
-        registry.gauge("b").set(5)
-        registry.histogram("c").observe(1.0)
-        with registry.timer("d"):
-            pass
-        assert registry.counter("a", component="x").value == 0
-        assert registry.gauge("b").value == 0.0
-        assert registry.histogram("c").count == 0
-        assert list(registry.series()) == []
-        assert not registry.enabled
-
-    def test_shared_instruments(self):
-        registry = NullMetricsRegistry()
-        assert registry.counter("a") is registry.counter("b")
-
-
-class TestDefaultRegistryGlobalState:
-    def test_default_is_null(self):
-        assert default_registry() is NULL_REGISTRY
-
-    def test_swap_and_restore(self):
-        mine = MetricsRegistry()
-        previous = set_default_registry(mine)
-        try:
-            assert default_registry() is mine
-        finally:
-            set_default_registry(previous)
-        assert default_registry() is NULL_REGISTRY
-
-    def test_state_token_detects_recordings(self):
-        mine = MetricsRegistry()
-        previous = set_default_registry(mine)
-        try:
-            before = metrics_module.global_state_token()
-            default_registry().counter("leak").inc()
-            assert metrics_module.global_state_token() != before
-            mine.clear()
-            assert metrics_module.global_state_token() == before
-        finally:
-            set_default_registry(previous)
-
-    @pytest.mark.mutates_observability
-    def test_guard_restores_marked_leaks(self):
-        # Deliberately leak: the conftest guard must restore silently
-        # (this test would otherwise poison the suite).
-        set_default_registry(MetricsRegistry())
-        default_registry().counter("leak").inc()
 
 
 class TestFlowTrace:
@@ -420,12 +352,20 @@ class TestTracingFeature:
         )
 
     def test_defaults_to_global_null_registry(self):
-        # With the pristine global default, attaching costs nothing and
-        # leaves no global trace -- the conftest guard would fail this
-        # test otherwise.
+        # Without a registry the feature keeps its event log and counts
+        # nowhere: not even the graph's own hub gets a feature series.
         graph, source, sink = build_chain(n_stages=1)
-        graph.component("stage1").attach_feature(TracingFeature())
+        hub = ObservabilityHub(time_fn=lambda: 0.0)
+        graph.set_instrumentation(hub)
+        feature = TracingFeature()
+        graph.component("stage1").attach_feature(feature)
         source.inject(Datum("x", 1, 0.0))
+        assert [e[1] for e in feature.events()] == ["in", "out"]
+        assert not [
+            name
+            for _kind, name, _labels, _i in hub.registry.series()
+            if name == "feature_events"
+        ]
 
     def test_bounded_event_log(self):
         graph, source, sink = build_chain(n_stages=1)

@@ -5,12 +5,18 @@ hashing, modulo, explicit pins), the :class:`ShardedEngine` coordinator
 (placement-driven tracking, fan-out submission, merged reflective
 surfaces, simulated-clock rounds), per-shard failure containment
 (degraded marking, truncation surfacing, chaos via fault injection),
-the middleware/report integration, and the multiprocessing executor
-(marked ``multiproc``; excluded from tier-1).
+the middleware/report integration, the multiprocessing executor's
+worker loop (served on threads over real pipes, so it runs in tier-1),
+and the multiprocessing executor itself (marked ``multiproc``; excluded
+from tier-1).
 """
 
+import multiprocessing
+import os
+import threading
 from collections import Counter
 from functools import partial
+from multiprocessing.connection import Connection
 
 import pytest
 
@@ -39,6 +45,7 @@ from repro.runtime import (
     SHARD_HEALTHY,
     ShardedEngine,
     ShardingError,
+    ShardRemoteError,
     WeightedScheduler,
     stable_hash,
 )
@@ -657,6 +664,154 @@ class TestMiddlewareIntegration:
         assert "placement=ConsistentHashPlacement" in text
         assert "drained=1" in text
         middleware.disable_sharding()
+
+
+class _ThreadWorker:
+    """A ``Process`` stand-in running its target on a thread.
+
+    The thread serves a duplicate of the child's pipe end, as a forked
+    child would, so ``ProcessShard`` closing its own copy after
+    ``start()`` leaves the worker's end open.
+    """
+
+    def __init__(self, target, args):
+        self._target = target
+        self._args = args
+        self._thread = None
+        self.exitcode = None
+
+    def start(self):
+        conn, *rest = self._args
+        child = Connection(os.dup(conn.fileno()))
+        self._thread = threading.Thread(
+            target=self._run, args=(child, *rest), daemon=True
+        )
+        self._thread.start()
+
+    def _run(self, *args):
+        self._target(*args)
+        self.exitcode = 0
+
+    def is_alive(self):
+        return self._thread.is_alive()
+
+    def join(self, timeout=None):
+        self._thread.join(timeout)
+
+
+class ThreadContext:
+    """An ``mp_context`` whose workers are threads over real pipes.
+
+    Messages are still pickled both ways, so the worker loop and the
+    ``ProcessShard`` transport run exactly as across processes.
+    """
+
+    Pipe = staticmethod(multiprocessing.Pipe)
+
+    def __init__(self):
+        self.workers = []
+
+    def Process(self, target, args, daemon):
+        worker = _ThreadWorker(target, args)
+        self.workers.append(worker)
+        return worker
+
+
+def _workload(engine):
+    """Every shard op and merged surface, as comparable plain data."""
+    for t in range(6):
+        engine.track(f"t{t}", "src", shard=t % 2)
+    engine.track("idle", "src", shard=1)
+    engine.set_policy("t0", capacity=4, weight=2)
+    engine.submit("t0", datum(0))
+    engine.submit_batch(
+        [(f"t{t}", datum(i, t=float(i))) for t in range(6) for i in range(1, 4)]
+    )
+    engine.submit_batch([("t3", datum(-1)), ("t3", datum(-2))])
+    moved = engine.migrate_target("t1", 0)["datums"]
+    drained = [engine.drain_round()]
+    engine.untrack("idle")
+    engine.submit_batch([(f"t{t}", datum(9, t=9.0)) for t in range(6)])
+    drained.append(engine.drain_all())
+    return {
+        "drained": drained,
+        "moved": moved,
+        "degraded": engine.degraded(),
+        "sink_outputs": engine.sink_outputs(),
+        "lanes": engine.ingestion_lanes(),
+        "health": engine.component_health(),
+        "stats": {
+            name: {k: v for k, v in entry.items() if k != "latency"}
+            for name, entry in engine.merged_component_stats().items()
+        },
+        "counters": engine.merged_metrics()["counters"],
+        "engines": [entry["engine"] for entry in engine.snapshot()["per_shard"]],
+    }
+
+
+class TestWorkerLoopOnThreads:
+    """The multiprocessing executor's worker loop, without processes."""
+
+    def make(self, context, **kwargs):
+        return ShardedEngine(
+            recipe,
+            2,
+            executor="multiprocessing",
+            mp_context=context,
+            **kwargs,
+        )
+
+    def test_pipe_transport_matches_inprocess(self):
+        policy = SupervisionPolicy(
+            mode=QUARANTINE, failure_threshold=2, window_s=60.0
+        )
+        options = dict(observability=True, supervision=policy)
+        with ShardedEngine(recipe, 2, **options) as engine:
+            expected = _workload(engine)
+        context = ThreadContext()
+        with self.make(context, **options) as engine:
+            assert [s.mode for s in engine.shards()] == ["multiprocessing"] * 2
+            assert _workload(engine) == expected
+        assert expected["health"]["stage"] == OPEN
+        assert expected["moved"] == 3
+        assert expected["counters"]
+        assert [w.is_alive() for w in context.workers] == [False, False]
+        assert [w.exitcode for w in context.workers] == [0, 0]
+
+    def test_unknown_op_errors_and_the_worker_serves_on(self):
+        context = ThreadContext()
+        with self.make(context) as engine:
+            shard = engine.shard(0)
+            with pytest.raises(ShardRemoteError, match="unknown shard op"):
+                shard._call("reboot")
+            with pytest.raises(AttributeError):
+                shard.reboot
+            engine.track("t0", "src", shard=0)
+            engine.submit("t0", datum(1))
+            assert shard.snapshot()["pending"] == 1
+            assert engine.drain_all() == 1
+        assert not any(w.is_alive() for w in context.workers)
+
+    def test_remote_failure_degrades_only_its_shard(self):
+        with self.make(ThreadContext()) as engine:
+            engine.track("bad", "src", shard=0)
+            engine.track("good", "src", shard=1)
+            engine.submit("bad", datum(-1))
+            engine.submit("good", datum(1))
+            assert engine.drain_all() == 1
+            assert engine.degraded() == [0]
+            assert engine.shard(0).error == "ValueError: crash on -1"
+            assert engine.shard(0).snapshot()["pending"] == 0
+
+    def test_build_error_is_reported_by_the_handshake(self):
+        context = ThreadContext()
+        with pytest.raises(ShardRemoteError, match="recipe must build"):
+            ShardedEngine(
+                lambda: 42, 1, executor="multiprocessing", mp_context=context
+            )
+        [worker] = context.workers
+        worker.join(5)
+        assert not worker.is_alive()
 
 
 @pytest.mark.multiproc
