@@ -366,7 +366,8 @@ def compile_plan(graph: "ProcessingGraph") -> CompiledPlan:
     if reason is not None:
         return CompiledPlan(epoch, version, {}, reason, {})
 
-    upstream, downstream = graph._adjacency()
+    upstream = graph.upstream_map()
+    downstream = graph.downstream_map()
     components = graph._components
     routing = graph._routing_table()
 

@@ -17,17 +17,22 @@ Dispatch fast path
 ------------------
 Reflection makes the *structure* mutable; it must not make every datum
 pay for that mutability.  The graph therefore keeps the authoritative
-edge list (`_connections`, the slow/reflective representation) and a set
-of derived, lazily rebuilt indexes used on the per-datum hot path:
+edge set (`_connections`, the slow/reflective representation: an
+insertion-ordered dict, so the duplicate check in :meth:`connect` is
+one lookup) with **adjacency indexes** (``upstream``/``downstream``
+name maps) backing traversal, the cycle check, channel derivation and
+source/sink/merge queries.  The adjacency indexes always equal their
+rebuild from the edge set: :meth:`add` leaves them alone,
+:meth:`connect` appends its edge in place, and the removals rebuild
+them.  Assembling a graph therefore costs time linear in its size.
+On top sit derived, lazily rebuilt indexes used on the per-datum hot
+path:
 
 * a **routing table** keyed by producer name whose entries carry the
   consumer component object, the port name, and the port's accept-set;
 * a per-``(producer, kind)`` **route memo** of the entries that accept
   that kind, so steady-state routing is one dict lookup;
-* **adjacency indexes** (``upstream``/``downstream`` name maps) backing
-  traversal, channel derivation and source/sink/merge queries;
-* cached **reachability** (``descendants``/``ancestors``) for the
-  acyclicity check in :meth:`connect`.
+* cached **reachability** (``descendants``/``ancestors``).
 
 Routing has one loop, :meth:`ProcessingGraph.route_batch`; a produced
 datum is a batch of one.  Route resolution happens once per
@@ -39,7 +44,7 @@ loop body is one ``deliver(group)`` call with no branch on hub,
 supervisor or chain.  The scale-out runtime's ingestion queues drain
 into the same loop.
 
-All of them are invalidated by a single monotonically increasing
+The derived indexes are invalidated by a single monotonically increasing
 **topology version** bumped by every structural mutation
 (``add``/``remove``/``connect``/``disconnect`` and the operations built
 on them).  Reflective manipulation stays exactly as expressive -- it
@@ -148,7 +153,11 @@ class ProcessingGraph(ComponentObserver):
 
     def __init__(self) -> None:
         self._components: Dict[str, ProcessingComponent] = {}
-        self._connections: List[Connection] = []
+        # The edge set, in insertion order (values unused).
+        self._connections: Dict[Connection, None] = {}
+        # Adjacency, kept equal to its rebuild from the edge set.
+        self._upstream_index: Dict[str, List[str]] = {}
+        self._downstream_index: Dict[str, List[str]] = {}
         self._observers: List[GraphObserver] = []
         # Immutable fan-out snapshot, rebuilt on (un)subscription only;
         # the hot path iterates it without a per-event list copy.
@@ -168,8 +177,6 @@ class ProcessingGraph(ComponentObserver):
         self._route_memo: Dict[
             Tuple[str, str], Tuple[MemoEntry, ...]
         ] = {}
-        self._upstream_index: Optional[Dict[str, List[str]]] = None
-        self._downstream_index: Optional[Dict[str, List[str]]] = None
         self._descendants_cache: Dict[str, FrozenSet[str]] = {}
         self._ancestors_cache: Dict[str, FrozenSet[str]] = {}
         # -- compiled dispatch plan (repro.core.compile) -------------------
@@ -265,14 +272,16 @@ class ProcessingGraph(ComponentObserver):
         return self._version
 
     def _invalidate(self) -> None:
-        """Structural mutation: bump the version, drop derived indexes."""
+        """Structural mutation: bump the version, drop derived indexes.
+
+        The adjacency indexes are not derived lazily: each mutation
+        keeps them current itself.
+        """
         # The plan goes first: even if a later step failed, no stale
         # fused chain may survive a structural mutation.
         self.invalidate_plan()
         self._version += 1
         self._routing = None
-        self._upstream_index = None
-        self._downstream_index = None
         if self._descendants_cache:
             self._descendants_cache = {}
         if self._ancestors_cache:
@@ -408,34 +417,31 @@ class ProcessingGraph(ComponentObserver):
 
         return deliver
 
-    def _adjacency(
-        self,
-    ) -> Tuple[Dict[str, List[str]], Dict[str, List[str]]]:
-        up = self._upstream_index
-        if up is None:
-            up = {}
-            down: Dict[str, List[str]] = {}
-            for c in self._connections:
-                up.setdefault(c.consumer, []).append(c.producer)
-                down.setdefault(c.producer, []).append(c.consumer)
-            self._upstream_index = up
-            self._downstream_index = down
-        return up, self._downstream_index  # type: ignore[return-value]
+    def _reindex(self) -> None:
+        """Rebuild the adjacency indexes from the edge set (removals)."""
+        up: Dict[str, List[str]] = {}
+        down: Dict[str, List[str]] = {}
+        for c in self._connections:
+            up.setdefault(c.consumer, []).append(c.producer)
+            down.setdefault(c.producer, []).append(c.consumer)
+        self._upstream_index = up
+        self._downstream_index = down
 
     def upstream_map(self) -> Mapping[str, List[str]]:
         """Consumer name -> producer names, in edge order.
 
-        A live snapshot of the adjacency index: valid until the next
-        structural mutation, must not be mutated by callers.  Components
-        without inbound edges are absent.  The PCL derives its channel
+        The live adjacency index: :meth:`connect` appends to it and the
+        removals replace it, so read it before the next structural
+        mutation, and never mutate it.  Components without inbound
+        edges are absent.  The PCL derives its channel
         decomposition from this map instead of per-node scans.
         """
-        return self._adjacency()[0]
+        return self._upstream_index
 
     def downstream_map(self) -> Mapping[str, List[str]]:
         """Producer name -> consumer names, in edge order (see
-        :meth:`upstream_map` for the snapshot contract)."""
-        return self._adjacency()[1]
+        :meth:`upstream_map` for the contract)."""
+        return self._downstream_index
 
     # -- membership ----------------------------------------------------------
 
@@ -466,8 +472,7 @@ class ProcessingGraph(ComponentObserver):
         """
         component = self.component(name)
         try:
-            upstream, _down = self._adjacency()
-            producers = list(upstream.get(name, ()))
+            producers = list(self._upstream_index.get(name, ()))
             downstream_ports = [
                 (consumer.name, port_name)
                 for consumer, port_name, _accepts in self._routing_table().get(
@@ -475,11 +480,12 @@ class ProcessingGraph(ComponentObserver):
                 )
             ]
             if producers or downstream_ports:
-                self._connections = [
-                    c
+                self._connections = {
+                    c: None
                     for c in self._connections
                     if c.producer != name and c.consumer != name
-                ]
+                }
+                self._reindex()
             del self._components[name]
             self._invalidate()
             component._observer = None
@@ -563,11 +569,15 @@ class ProcessingGraph(ComponentObserver):
         connection = Connection(producer, consumer, port)
         if connection in self._connections:
             raise GraphError(f"duplicate connection {connection}")
-        if producer == consumer or producer in self.descendants(consumer):
+        if producer == consumer or producer in self._reachable(
+            consumer, self._downstream_index
+        ):
             raise GraphError(
                 f"connecting {producer} -> {consumer} would create a cycle"
             )
-        self._connections.append(connection)
+        self._connections[connection] = None
+        self._upstream_index.setdefault(consumer, []).append(producer)
+        self._downstream_index.setdefault(producer, []).append(consumer)
         self._invalidate()
         self._notify_topology()
         return connection
@@ -588,20 +598,21 @@ class ProcessingGraph(ComponentObserver):
     ) -> None:
         """Remove matching edges; raises if none existed."""
         before = len(self._connections)
-        self._connections = [
-            c
+        self._connections = {
+            c: None
             for c in self._connections
             if not (
                 c.producer == producer
                 and c.consumer == consumer
                 and (port is None or c.port == port)
             )
-        ]
+        }
         if len(self._connections) == before:
             raise GraphError(
                 f"no connection {producer} -> {consumer}"
                 + (f".{port}" if port else "")
             )
+        self._reindex()
         self._invalidate()
         self._notify_topology()
 
@@ -656,19 +667,19 @@ class ProcessingGraph(ComponentObserver):
     def upstream(self, name: str) -> List[str]:
         """Direct producers feeding ``name``."""
         self.component(name)
-        return list(self._adjacency()[0].get(name, ()))
+        return list(self._upstream_index.get(name, ()))
 
     def downstream(self, name: str) -> List[str]:
         """Direct consumers of ``name``'s output."""
         self.component(name)
-        return list(self._adjacency()[1].get(name, ()))
+        return list(self._downstream_index.get(name, ()))
 
     def ancestors(self, name: str) -> Set[str]:
         """All transitive producers feeding ``name``."""
         self.component(name)
         cached = self._ancestors_cache.get(name)
         if cached is None:
-            cached = self._reachable(name, self._adjacency()[0])
+            cached = self._reachable(name, self._upstream_index)
             self._ancestors_cache[name] = cached
         return set(cached)
 
@@ -677,7 +688,7 @@ class ProcessingGraph(ComponentObserver):
         self.component(name)
         cached = self._descendants_cache.get(name)
         if cached is None:
-            cached = self._reachable(name, self._adjacency()[1])
+            cached = self._reachable(name, self._downstream_index)
             self._descendants_cache[name] = cached
         return set(cached)
 
@@ -697,7 +708,7 @@ class ProcessingGraph(ComponentObserver):
 
     def sources(self) -> List[ProcessingComponent]:
         """Leaf nodes: components with no inbound connections."""
-        upstream, _down = self._adjacency()
+        upstream = self._upstream_index
         return [
             comp
             for name, comp in self._components.items()
@@ -706,7 +717,7 @@ class ProcessingGraph(ComponentObserver):
 
     def sinks(self) -> List[ProcessingComponent]:
         """Root nodes: components with no outbound connections."""
-        _up, downstream = self._adjacency()
+        downstream = self._downstream_index
         return [
             comp
             for name, comp in self._components.items()
@@ -715,7 +726,7 @@ class ProcessingGraph(ComponentObserver):
 
     def merge_points(self) -> List[ProcessingComponent]:
         """Components combining data from two or more producers."""
-        upstream, _down = self._adjacency()
+        upstream = self._upstream_index
         return [
             comp
             for name, comp in self._components.items()

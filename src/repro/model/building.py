@@ -20,9 +20,11 @@ from repro.geo.wgs84 import Wgs84Position
 from repro.model.geometry import (
     Point,
     bounding_box,
+    containment_box,
+    count_crossings,
     point_in_polygon,
     polygon_centroid,
-    segments_intersect,
+    segment_table,
 )
 
 
@@ -80,23 +82,39 @@ class SymbolicLocation:
 
 
 class Floor:
-    """One building storey: rooms plus interior/exterior walls."""
+    """One building storey: rooms plus interior/exterior walls.
+
+    Immutable after construction, so the lookup tables built here stay
+    current: each room's :func:`containment_box` (``None`` where the
+    room has no such box) and the walls as one segment table for the
+    wall-crossing kernel.
+    """
 
     def __init__(
         self, level: int, rooms: Sequence[Room], walls: Sequence[Wall]
     ) -> None:
         self.level = level
-        self.rooms = list(rooms)
-        self.walls = [w for w in walls if w.floor == level]
+        self.rooms = tuple(rooms)
+        self.walls = tuple(w for w in walls if w.floor == level)
         for room in self.rooms:
             if room.floor != level:
                 raise ValueError(
                     f"room {room.room_id} declared for floor {room.floor},"
                     f" placed on floor {level}"
                 )
+        self._room_boxes = tuple(
+            (room, containment_box(room.polygon)) for room in self.rooms
+        )
+        self._wall_table = segment_table((w.start, w.end) for w in self.walls)
 
     def room_at(self, position: GridPosition) -> Optional[Room]:
-        for room in self.rooms:
+        x = position.x_m
+        y = position.y_m
+        for room, box in self._room_boxes:
+            if box is not None and (
+                x < box[0] or y < box[1] or x > box[2] or y > box[3]
+            ):
+                continue
             if room.contains(position):
                 return room
         return None
@@ -177,10 +195,11 @@ class Building:
         floor = self._floors.get(a.floor)
         if floor is None:
             return False
-        p1 = (a.x_m, a.y_m)
-        p2 = (b.x_m, b.y_m)
-        return any(
-            segments_intersect(p1, p2, w.start, w.end) for w in floor.walls
+        return (
+            count_crossings(
+                floor._wall_table, (a.x_m, a.y_m), (b.x_m, b.y_m), stop_at=1
+            )
+            > 0
         )
 
     def walls_between(self, a: GridPosition, b: GridPosition) -> int:
@@ -192,13 +211,7 @@ class Building:
         floor = self._floors.get(a.floor)
         if floor is None:
             return 0
-        p1 = (a.x_m, a.y_m)
-        p2 = (b.x_m, b.y_m)
-        return sum(
-            1
-            for w in floor.walls
-            if segments_intersect(p1, p2, w.start, w.end)
-        )
+        return count_crossings(floor._wall_table, (a.x_m, a.y_m), (b.x_m, b.y_m))
 
     def footprint(self, level: int = 0) -> Tuple[float, float, float, float]:
         """Bounding box ``(min_x, min_y, max_x, max_y)`` of a floor."""

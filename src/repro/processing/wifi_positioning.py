@@ -7,13 +7,16 @@ map -- RSSI vectors at known grid positions, built by
 weighted k-nearest-neighbours in signal space, producing positions in
 both the building grid and WGS84.
 
-The matcher indexes the radio map once, at construction: the map's APs
-in sorted order, one dense RSSI tuple per survey point (unheard APs at
-the noise floor) and one AP bitmask per point.  Scoring a scan then
-costs one :func:`math.dist` per survey point; the size of each point's
-AP union comes from the bitmasks, counted once per distinct mask (the
-survey points share a handful of coverage sets), and scan APs the map
-never heard add one constant to every point.  The k nearest come from
+The matcher scores against the radio map's
+:class:`~repro.sensors.wifi.FingerprintIndex`: the map's APs in sorted
+order, one dense RSSI tuple per survey point (unheard APs at the noise
+floor) and one AP bitmask per point.  The
+:class:`~repro.sensors.wifi.RadioMap` builds that index once and every
+matcher given the map shares it; a plain sequence of entries is wrapped
+in a map of its own.  Scoring a scan costs one :func:`math.dist` per
+survey point; the size of each point's AP union comes from the
+bitmasks, counted once per distinct mask, and scan APs the map never
+heard add one constant to every point.  The k nearest come from
 :func:`heapq.nsmallest`, ties resolved in radio-map order.  Every sum
 runs in a fixed order, so no estimate depends on the interpreter's hash
 seed.
@@ -23,15 +26,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 from repro.core.component import InputPort, OutputPort, ProcessingComponent
 from repro.core.data import Datum, Kind
 from repro.geo.grid import GridPosition, LocalGrid
-from repro.sensors.wifi import WifiScan
-
-#: RSSI assumed for an AP heard in only one of two compared vectors.
-MISSING_DBM = -95.0
+from repro.sensors.wifi import MISSING_DBM, RadioMap, RadioMapEntry, WifiScan
 
 
 def signal_distance(
@@ -60,7 +60,7 @@ class FingerprintPositioningComponent(ProcessingComponent):
 
     def __init__(
         self,
-        radio_map: Sequence[Tuple[GridPosition, Mapping[str, float]]],
+        radio_map: Sequence[RadioMapEntry],
         grid: LocalGrid,
         k: int = 3,
         name: str = "wifi-positioning",
@@ -75,35 +75,12 @@ class FingerprintPositioningComponent(ProcessingComponent):
             inputs=(InputPort("in", (Kind.WIFI_SCAN,)),),
             output=OutputPort((Kind.POSITION_WGS84, Kind.POSITION_GRID)),
         )
-        surveyed = [(pos, vector) for pos, vector in radio_map if vector]
-        # The map's APs in sorted order: the column order of every row.
-        access_points = sorted(
-            {bssid for _pos, vector in surveyed for bssid in vector}
-        )
-        column = {bssid: j for j, bssid in enumerate(access_points)}
-        self._column = column
-        self._positions: List[GridPosition] = []
-        # Coverage bitmask -> (radio-map indexes, dense rows) of the
-        # points that hear exactly that AP set.
-        groups: Dict[int, Tuple[List[int], List[Tuple[float, ...]]]] = {}
-        blank = [MISSING_DBM] * len(column)
-        for index, (pos, vector) in enumerate(surveyed):
-            row = list(blank)
-            mask = 0
-            for bssid, rssi in vector.items():
-                j = column[bssid]
-                row[j] = rssi
-                mask |= 1 << j
-            self._positions.append(pos)
-            group = groups.get(mask)
-            if group is None:
-                group = groups[mask] = ([], [])
-            group[0].append(index)
-            group[1].append(tuple(row))
-        self._groups = [
-            (mask, tuple(indexes), tuple(rows))
-            for mask, (indexes, rows) in groups.items()
-        ]
+        if not isinstance(radio_map, RadioMap):
+            radio_map = RadioMap(radio_map)
+        index = radio_map.index()
+        self._column = index.column
+        self._positions = index.positions
+        self._groups = index.groups
         self.grid = grid
         self.k = k
         self.min_observations = min_observations

@@ -5,7 +5,8 @@ campus WiFi positioning deployment.  We rebuild the physical layer it sits
 on: access points at known building-grid positions and a log-distance
 path-loss radio model with per-wall attenuation and log-normal shadowing.
 The scanner emits :class:`WifiScan` readings; the fingerprinting engine in
-:mod:`repro.processing.wifi_positioning` turns scans into positions.
+:mod:`repro.processing.wifi_positioning` turns scans into positions,
+matching them against a :class:`RadioMap` built here.
 """
 
 from __future__ import annotations
@@ -13,7 +14,19 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.geo.grid import GridPosition, LocalGrid
 from repro.sensors.base import SensorReading, SimulatedSensor
@@ -167,10 +180,103 @@ class WifiScanner(SimulatedSensor):
         return readings
 
 
+#: RSSI assumed for an AP a vector does not hear: the fill value of the
+#: fingerprint index's dense rows and of signal-distance comparisons.
+MISSING_DBM = -95.0
+
+#: One radio-map entry: a survey position and the RSSI vector heard there.
+RadioMapEntry = Tuple[GridPosition, Mapping[str, float]]
+
+
+@dataclass(frozen=True)
+class FingerprintIndex:
+    """A radio map laid out for weighted-kNN matching.
+
+    ``column`` maps the map's APs, in sorted order, to the columns of
+    every row.  ``positions`` holds the survey points that hear at
+    least one AP, in radio-map order; the indexes in ``groups`` point
+    into it.  ``groups`` holds one ``(coverage bitmask, indexes, dense
+    rows)`` triple per distinct set of heard APs, in order of first
+    appearance, with unheard APs at :data:`MISSING_DBM`: the survey
+    points share a handful of coverage sets, so a matcher sizes each
+    AP union once per set.
+    """
+
+    column: Mapping[str, int]
+    positions: Tuple[GridPosition, ...]
+    groups: Tuple[
+        Tuple[int, Tuple[int, ...], Tuple[Tuple[float, ...], ...]], ...
+    ]
+
+    @classmethod
+    def build(cls, entries: Iterable[RadioMapEntry]) -> "FingerprintIndex":
+        surveyed = [(pos, vector) for pos, vector in entries if vector]
+        access_points = sorted(
+            {bssid for _pos, vector in surveyed for bssid in vector}
+        )
+        column = {bssid: j for j, bssid in enumerate(access_points)}
+        positions: List[GridPosition] = []
+        groups: Dict[int, Tuple[List[int], List[Tuple[float, ...]]]] = {}
+        blank = [MISSING_DBM] * len(column)
+        for index, (pos, vector) in enumerate(surveyed):
+            row = list(blank)
+            mask = 0
+            for bssid, rssi in vector.items():
+                j = column[bssid]
+                row[j] = rssi
+                mask |= 1 << j
+            positions.append(pos)
+            group = groups.get(mask)
+            if group is None:
+                group = groups[mask] = ([], [])
+            group[0].append(index)
+            group[1].append(tuple(row))
+        return cls(
+            column,
+            tuple(positions),
+            tuple(
+                (mask, tuple(indexes), tuple(rows))
+                for mask, (indexes, rows) in groups.items()
+            ),
+        )
+
+
+class RadioMap(Sequence[RadioMapEntry]):
+    """An immutable survey radio map: one RSSI vector per survey position.
+
+    The map owns the fingerprint matcher's :class:`FingerprintIndex`:
+    built on the first :meth:`index` call, it is shared by every
+    matcher given this map.  Immutability (a tuple of entries,
+    read-only vectors) is what keeps the shared index current.
+    """
+
+    def __init__(self, entries: Iterable[RadioMapEntry]) -> None:
+        self._entries: Tuple[RadioMapEntry, ...] = tuple(
+            (pos, MappingProxyType(dict(vector))) for pos, vector in entries
+        )
+        self._index: Optional[FingerprintIndex] = None
+
+    def index(self) -> FingerprintIndex:
+        """The matcher index, built on the first call."""
+        index = self._index
+        if index is None:
+            index = self._index = FingerprintIndex.build(self._entries)
+        return index
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __getitem__(self, i: Any) -> Any:
+        return self._entries[i]
+
+    def __iter__(self) -> Iterator[RadioMapEntry]:
+        return iter(self._entries)
+
+
 def build_radio_map(
     environment: RadioEnvironment,
     positions: Sequence[GridPosition],
-) -> "List[Tuple[GridPosition, Mapping[str, float]]]":
+) -> RadioMap:
     """A survey radio map: expected RSSI vector at each survey position.
 
     This plays the role of the offline calibration phase of a fingerprint
@@ -189,4 +295,4 @@ def build_radio_map(
             if rssi >= environment.noise_floor_dbm
         }
         radio_map.append((pos, vector))
-    return radio_map
+    return RadioMap(radio_map)

@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.component import ApplicationSink, SourceComponent
 from repro.core.data import Datum, Kind
 from repro.core.graph import ProcessingGraph
-from repro.geo.grid import GridPosition
+from repro.geo.grid import GridPosition, LocalGrid
+from repro.geo.wgs84 import Wgs84Position
 from repro.model.demo import (
     demo_building,
     demo_radio_environment,
@@ -17,7 +19,12 @@ from repro.processing.wifi_positioning import (
     FingerprintPositioningComponent,
     signal_distance,
 )
-from repro.sensors.wifi import WifiObservation, WifiScan, build_radio_map
+from repro.sensors.wifi import (
+    RadioMap,
+    WifiObservation,
+    WifiScan,
+    build_radio_map,
+)
 
 
 class TestSignalDistance:
@@ -200,3 +207,65 @@ class TestIndexedMatcher:
         b = {f"ap{i}": -45.0 - 3.1 * i for i in range(3, 12)}
         shuffled = dict(sorted(a.items(), reverse=True))
         assert signal_distance(a, b) == signal_distance(b, shuffled)
+
+
+bssids = st.sampled_from(("a", "b", "c", "d", "e"))
+rssi_values = st.floats(min_value=-94.0, max_value=-30.0)
+survey_entries = st.lists(
+    st.tuples(
+        st.builds(
+            GridPosition,
+            st.floats(min_value=0.0, max_value=40.0),
+            st.floats(min_value=0.0, max_value=15.0),
+        ),
+        st.dictionaries(bssids, rssi_values, max_size=5),
+    ),
+    min_size=1,
+    max_size=12,
+).filter(lambda entries: any(vector for _pos, vector in entries))
+scan_observations = st.lists(
+    st.tuples(st.one_of(bssids, st.just("unsurveyed")), rssi_values),
+    min_size=1,
+    max_size=6,
+    unique_by=lambda observation: observation[0],
+)
+
+
+class TestSharedRadioMapIndex:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        entries=survey_entries,
+        scans=st.lists(scan_observations, min_size=1, max_size=5),
+        k=st.integers(min_value=1, max_value=4),
+    )
+    def test_matchers_sharing_a_map_match_a_plain_list_copy(
+        self, entries, scans, k
+    ):
+        grid = LocalGrid(Wgs84Position(56.1718, 10.1903))
+        radio_map = RadioMap(entries)
+        shared = [
+            FingerprintPositioningComponent(radio_map, grid, k=k, name=f"m{i}")
+            for i in range(2)
+        ]
+        plain = [(pos, dict(vector)) for pos, vector in radio_map]
+        reference = FingerprintPositioningComponent(plain, grid, k=k)
+        for matcher in shared:
+            assert matcher._groups is radio_map.index().groups
+        assert reference._groups is not radio_map.index().groups
+        for observations in scans:
+            scan = WifiScan(
+                0.0, tuple(WifiObservation(b, r) for b, r in observations)
+            )
+            expected = reference.estimate(scan)
+            for matcher in shared:
+                assert matcher.estimate(scan) == expected
+
+    def test_demo_map_is_indexed_once(self):
+        building = demo_building()
+        radio_map = build_radio_map(
+            demo_radio_environment(building), demo_survey_positions(2.0)
+        )
+        first = FingerprintPositioningComponent(radio_map, building.grid)
+        second = FingerprintPositioningComponent(radio_map, building.grid)
+        assert first._positions is second._positions
+        assert first.map_size() == len(radio_map)

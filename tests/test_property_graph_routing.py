@@ -9,9 +9,12 @@ disconnect) through the real graph and check that, for every reachable
 recursive scan of ``graph.connections()`` predicts -- same consumers,
 same ports, same order -- and that the cached ``descendants()`` /
 ``ancestors()`` / ``sources()`` / ``sinks()`` answers match a reference
-BFS over the raw edge list.
+BFS over the raw edge list.  The adjacency index, which ``add`` and
+``connect`` keep current in place, equals its rebuild from the edge
+list after every mutation, ``insert_between`` included.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.component import FunctionComponent
@@ -211,3 +214,66 @@ def test_routing_stays_correct_across_warm_memo(ops, extra):
             finally:
                 unsubscribe()
             assert recorder.events == expected
+
+
+def passthrough(name, kinds):
+    return FunctionComponent(name, kinds, kinds, fn=lambda d: d)
+
+
+def rebuilt_adjacency(connections):
+    upstream, downstream = {}, {}
+    for c in connections:
+        upstream.setdefault(c.consumer, []).append(c.producer)
+        downstream.setdefault(c.producer, []).append(c.consumer)
+    return upstream, downstream
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_adjacency_index_equals_a_rebuild_after_every_mutation(data):
+    """Mutations drawn against the live graph (existing names and
+    edges), so disconnects and splices mostly succeed."""
+    graph = ProcessingGraph()
+    for step in range(data.draw(st.integers(min_value=1, max_value=40))):
+        names = [c.name for c in graph.components()]
+        edges = graph.connections()
+        op = data.draw(
+            st.sampled_from(
+                ("add", "add", "connect", "connect", "disconnect", "remove", "insert")
+            )
+        )
+        try:
+            if op == "add" or not names:
+                name = data.draw(st.sampled_from(NAMES))
+                graph.add(passthrough(name, data.draw(kind_sets)))
+            elif op == "connect":
+                graph.connect(
+                    data.draw(st.sampled_from(names)),
+                    data.draw(st.sampled_from(names)),
+                )
+            elif op == "remove":
+                graph.remove(
+                    data.draw(st.sampled_from(names)),
+                    reconnect=data.draw(st.booleans()),
+                )
+            elif edges:
+                edge = data.draw(st.sampled_from(edges))
+                if op == "disconnect":
+                    graph.disconnect(edge.producer, edge.consumer, edge.port)
+                else:
+                    graph.insert_between(
+                        edge.producer,
+                        edge.consumer,
+                        passthrough(f"i{step}", data.draw(kind_sets)),
+                        port=edge.port,
+                    )
+        except GraphError:
+            pass
+        connections = graph.connections()
+        assert len(set(connections)) == len(connections)
+        upstream, downstream = rebuilt_adjacency(connections)
+        assert graph.upstream_map() == upstream
+        assert graph.downstream_map() == downstream
+        for c in connections:
+            with pytest.raises(GraphError, match="duplicate"):
+                graph.connect(c.producer, c.consumer, c.port)

@@ -170,3 +170,10 @@ class TestRadioMap:
         env = open_environment(noise_floor_dbm=-50.0)
         radio_map = build_radio_map(env, [GridPosition(1000.0, 0.0)])
         assert radio_map[0][1] == {}
+
+    def test_map_is_immutable(self):
+        radio_map = build_radio_map(open_environment(), [GridPosition(1.0, 0.0)])
+        with pytest.raises(TypeError):
+            radio_map[0][1]["ap:test"] = -30.0
+        with pytest.raises(TypeError):
+            radio_map[0] = (GridPosition(2.0, 0.0), {})
