@@ -78,7 +78,7 @@ def crash_recovery_cell(depth):
     manager.attach()
 
     start = time.perf_counter()
-    summary = manager.snapshot()
+    summary = manager.checkpoint()
     snapshot_s = time.perf_counter() - start
 
     # Post-snapshot traffic lands in the journal only.

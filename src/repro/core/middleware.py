@@ -26,6 +26,17 @@ from repro.core.positioning import (
     PositioningLayer,
 )
 from repro.core.psl import ProcessStructureLayer
+from repro.core.subsystems import (
+    CONTROL,
+    DURABILITY,
+    GATEWAY,
+    OBSERVABILITY,
+    RUNTIME,
+    SCENARIO,
+    SHARDING,
+    SUPERVISION,
+    Section,
+)
 from repro.durability import DurabilityManager, MemoryStateStore, StateStore
 from repro.gateway import IngestionGateway
 from repro.observability.instrumentation import ObservabilityHub
@@ -47,6 +58,13 @@ DEFAULT_KIND_MAP: Dict[str, str] = {
     "accel-variance": Kind.ACCEL_VARIANCE,
 }
 
+#: Why durability and sharding are never live together.
+_DURABLE_SHARDS = (
+    "durability with sharding is not supported: the durability manager"
+    " journals only this graph's engine, so a restore would miss every"
+    " shard lane"
+)
+
 
 class PerPos:
     """One middleware instance: graph + layers + clock + sensor pumping."""
@@ -60,8 +78,8 @@ class PerPos:
         self.pcl = ProcessChannelLayer(self.graph)
         self.positioning = PositioningLayer()
         self._sensors: List[Tuple[SimulatedSensor, SourceComponent, Callable]] = []
-        # Live registrations of the optional subsystems, by interface.
-        self._registrations: Dict[str, ServiceRegistration] = {}
+        # Live registrations of the optional subsystems, by table row.
+        self._registrations: Dict[Section, ServiceRegistration] = {}
         # The layers are themselves services, as in the OSGi realisation.
         registry.register("perpos.ProcessingGraph", self.graph)
         registry.register("perpos.ProcessStructureLayer", self.psl)
@@ -69,18 +87,19 @@ class PerPos:
         registry.register("perpos.PositioningLayer", self.positioning)
 
     # -- optional subsystems -----------------------------------------------------
-    # The registry is the one record of which subsystem is live.  enable_X
-    # checks preconditions, runs disable_X, builds and registers; whatever
-    # needs a runtime (durability, the gateway feeding it) leaves with it.
+    # The registry is the one record of which subsystem is live, under the
+    # interface its row in repro.core.subsystems names.  enable_X checks
+    # preconditions, runs disable_X, builds and registers; whatever needs
+    # a runtime (durability, the gateway feeding it) leaves with it.
 
-    def _register(self, interface: str, service: Any) -> None:
-        self._registrations[interface] = self.framework.registry.register(
-            interface, service
+    def _register(self, section: Section, service: Any) -> None:
+        self._registrations[section] = self.framework.registry.register(
+            section.interface, service
         )
 
-    def _unregister(self, interface: str) -> Any:
-        """Withdraw the live ``interface`` subsystem; returns it (or None)."""
-        registration = self._registrations.pop(interface, None)
+    def _unregister(self, section: Section) -> Any:
+        """Withdraw the live ``section`` subsystem; returns it (or None)."""
+        registration = self._registrations.pop(section, None)
         if registration is None:
             return None
         service = self.framework.registry.get_service(registration.reference)
@@ -120,12 +139,12 @@ class PerPos:
             tracing=tracing,
         )
         self.graph.set_instrumentation(hub)
-        self._register("perpos.ObservabilityHub", hub)
+        self._register(OBSERVABILITY, hub)
         return hub
 
     def disable_observability(self) -> Optional[ObservabilityHub]:
         """Remove the hub (recorded metrics stay readable on it)."""
-        self._unregister("perpos.ObservabilityHub")
+        self._unregister(OBSERVABILITY)
         return self.graph.set_instrumentation(None)
 
     # -- supervision -------------------------------------------------------------
@@ -148,12 +167,12 @@ class PerPos:
         self.disable_supervision()
         supervisor = Supervisor(policy, time_fn=lambda: self.clock.now)
         self.graph.set_supervisor(supervisor)
-        self._register("perpos.Supervisor", supervisor)
+        self._register(SUPERVISION, supervisor)
         return supervisor
 
     def disable_supervision(self) -> Optional[Supervisor]:
         """Remove the supervisor (its failure records stay readable)."""
-        self._unregister("perpos.Supervisor")
+        self._unregister(SUPERVISION)
         return self.graph.set_supervisor(None)
 
     # -- scale-out runtime -------------------------------------------------------
@@ -178,7 +197,7 @@ class PerPos:
         engine = PositioningEngine(
             self.graph, clock=self.clock, scheduler=scheduler
         )
-        self._register("perpos.PositioningEngine", engine)
+        self._register(RUNTIME, engine)
         return engine
 
     def disable_runtime(self) -> Optional[PositioningEngine]:
@@ -193,7 +212,7 @@ class PerPos:
         engine = self.graph.engine
         self._disable_gateway_of(engine)
         self.disable_durability()
-        self._unregister("perpos.PositioningEngine")
+        self._unregister(RUNTIME)
         self.graph.set_engine(None)
         if engine is not None:
             engine.stop()
@@ -204,7 +223,7 @@ class PerPos:
     @property
     def sharding(self) -> Optional[ShardedEngine]:
         """The installed sharded engine, or None while sharding is off."""
-        return self.framework.registry.find_service("perpos.ShardedEngine")
+        return SHARDING.live(self.framework.registry)
 
     def enable_sharding(
         self, recipe: GraphRecipe, shards: int, **kwargs: object
@@ -221,8 +240,11 @@ class PerPos:
         through to :class:`~repro.runtime.sharding.ShardedEngine`
         (``placement``, ``executor``, ``scheduler``, ``observability``,
         ``supervision``, ...).  Re-enabling closes the previous
-        coordinator first.
+        coordinator first.  Raises while durability is enabled: the
+        manager journals only this graph's engine, not the shard lanes.
         """
+        if self.durability is not None:
+            raise ValueError(_DURABLE_SHARDS)
         self.disable_sharding()
         engine = ShardedEngine(
             recipe,
@@ -230,7 +252,7 @@ class PerPos:
             clock=self.clock,
             **kwargs,  # type: ignore[arg-type]
         )
-        self._register("perpos.ShardedEngine", engine)
+        self._register(SHARDING, engine)
         return engine
 
     def disable_sharding(self) -> Optional[ShardedEngine]:
@@ -241,7 +263,7 @@ class PerPos:
         and failure records stay readable on the returned object.  The
         gateway feeding the coordinator leaves with it.
         """
-        engine = self._unregister("perpos.ShardedEngine")
+        engine = self._unregister(SHARDING)
         if engine is not None:
             self._disable_gateway_of(engine)
             engine.close()
@@ -252,7 +274,7 @@ class PerPos:
     @property
     def gateway(self) -> Optional[IngestionGateway]:
         """The installed ingestion gateway, or None while the edge is off."""
-        return self.framework.registry.find_service("perpos.IngestionGateway")
+        return GATEWAY.live(self.framework.registry)
 
     def enable_gateway(
         self,
@@ -294,7 +316,7 @@ class PerPos:
             clock=self.clock,
             **kwargs,  # type: ignore[arg-type]
         )
-        self._register("perpos.IngestionGateway", gateway)
+        self._register(GATEWAY, gateway)
         manager = self.durability
         if manager is not None:
             manager.gateway = gateway
@@ -311,7 +333,7 @@ class PerPos:
         rehydrates them -- a disable/enable cycle (or a crash between
         the two) no longer forfeits payloads awaiting replay-after-fix.
         """
-        gateway = self._unregister("perpos.IngestionGateway")
+        gateway = self._unregister(GATEWAY)
         if gateway is not None:
             manager = self.durability
             if manager is not None:
@@ -325,7 +347,7 @@ class PerPos:
     @property
     def durability(self) -> Optional[DurabilityManager]:
         """The installed durability manager, or None while it is off."""
-        return self.framework.registry.find_service("perpos.DurabilityManager")
+        return DURABILITY.live(self.framework.registry)
 
     def enable_durability(
         self,
@@ -342,13 +364,16 @@ class PerPos:
         state -- lanes, queues, component state, breakers, DLQ records,
         metric counters.  ``snapshot_every`` auto-snapshots after that
         many journal entries.  Re-enabling detaches the previous
-        manager (its store stays readable).
+        manager (its store stays readable).  Raises while sharding is
+        enabled, whose lanes the manager would not journal.
         """
         if self.graph.engine is None:
             raise ValueError(
                 "no runtime to persist: enable_runtime() before"
                 " enable_durability()"
             )
+        if self.sharding is not None:
+            raise ValueError(_DURABLE_SHARDS)
         self.disable_durability()
         manager = DurabilityManager(
             self.graph,
@@ -357,12 +382,12 @@ class PerPos:
         )
         manager.attach()
         manager.gateway = self.gateway
-        self._register("perpos.DurabilityManager", manager)
+        self._register(DURABILITY, manager)
         return manager
 
     def disable_durability(self) -> Optional[DurabilityManager]:
         """Detach durable state (the store's contents stay readable)."""
-        manager = self._unregister("perpos.DurabilityManager")
+        manager = self._unregister(DURABILITY)
         if manager is not None:
             manager.detach()
         return manager
@@ -372,7 +397,7 @@ class PerPos:
     @property
     def scenario(self) -> Optional[Any]:
         """The installed scenario runner, or None while no scenario runs."""
-        return self.framework.registry.find_service("perpos.ScenarioRunner")
+        return SCENARIO.live(self.framework.registry)
 
     def enable_scenario(self, runner: Any) -> Any:
         """Install a scenario runner (and its control loop, if any).
@@ -380,17 +405,21 @@ class PerPos:
         The runner (:class:`repro.scenario.ScenarioRunner`) drives the
         workload from outside; installing it only publishes the
         inspection surfaces -- ``psl.scenario()``, ``psl.controllers()``
-        and the report's ``scenario:`` / ``control:`` sections -- plus a
-        ``perpos.ScenarioRunner`` service registration.  Re-enabling
-        replaces the previous runner.
+        and the report's ``scenario:`` / ``control:`` sections -- by
+        registering the runner, and its control loop beside it, as
+        services.  Re-enabling replaces the previous runner.
         """
         self.disable_scenario()
-        self._register("perpos.ScenarioRunner", runner)
+        self._register(SCENARIO, runner)
+        control = getattr(runner, "control", None)
+        if control is not None:
+            self._register(CONTROL, control)
         return runner
 
     def disable_scenario(self) -> Optional[Any]:
         """Remove the scenario runner and control loop surfaces."""
-        return self._unregister("perpos.ScenarioRunner")
+        self._unregister(CONTROL)
+        return self._unregister(SCENARIO)
 
     def trace(self, position: Optional[Datum]) -> Optional[FlowTrace]:
         """The component path (with timestamps) behind a delivered datum.

@@ -23,6 +23,7 @@ from typing import Any, Dict, List, Optional
 from repro.core.component import ProcessingComponent
 from repro.core.features import ComponentFeature, FeatureError
 from repro.core.graph import Connection, GraphError, ProcessingGraph
+from repro.core.subsystems import CONTROL, DURABILITY, GATEWAY, SCENARIO, SHARDING
 from repro.services.registry import ServiceRegistry
 
 
@@ -71,7 +72,7 @@ class ProcessStructureLayer:
                 info["ingestion"] = {
                     lane.target_id: lane.stats() for lane in lanes
                 }
-        gateway = self.registry.find_service("perpos.IngestionGateway")
+        gateway = GATEWAY.live(self.registry)
         if gateway is not None and gateway.source == name:
             info["gateway"] = gateway.snapshot()
         info["compiled_plans"] = self._compiled_role(name)
@@ -217,7 +218,7 @@ class ProcessStructureLayer:
         Empty while no gateway is installed -- inspection degrades
         gracefully, like :meth:`component_metrics`.
         """
-        gateway = self.registry.find_service("perpos.IngestionGateway")
+        gateway = GATEWAY.live(self.registry)
         return gateway.snapshot() if gateway is not None else {}
 
     def scenario(self) -> Dict[str, Any]:
@@ -227,7 +228,7 @@ class ProcessStructureLayer:
         the lane verdict totals.  Empty while no scenario is installed
         -- inspection degrades gracefully, like :meth:`gateway`.
         """
-        scenario = self.registry.find_service("perpos.ScenarioRunner")
+        scenario = SCENARIO.live(self.registry)
         return scenario.snapshot() if scenario is not None else {}
 
     def controllers(self) -> Dict[str, Any]:
@@ -238,8 +239,7 @@ class ProcessStructureLayer:
         surface for self-adaptation: what the system changed and why.
         Empty while no control loop is installed.
         """
-        runner = self.registry.find_service("perpos.ScenarioRunner")
-        control = getattr(runner, "control", None)
+        control = CONTROL.live(self.registry)
         return control.snapshot() if control is not None else {}
 
     def decision_ledger(self) -> List[Dict[str, Any]]:
@@ -247,8 +247,7 @@ class ProcessStructureLayer:
 
         Empty while no control loop is installed.
         """
-        runner = self.registry.find_service("perpos.ScenarioRunner")
-        control = getattr(runner, "control", None)
+        control = CONTROL.live(self.registry)
         return control.ledger() if control is not None else []
 
     def dead_letters(
@@ -260,7 +259,7 @@ class ProcessStructureLayer:
         attempts, state, next_attempt_s).  Empty while no gateway is
         installed.
         """
-        gateway = self.registry.find_service("perpos.IngestionGateway")
+        gateway = GATEWAY.live(self.registry)
         if gateway is None:
             return []
         return gateway.dead_letters(state)
@@ -275,7 +274,7 @@ class ProcessStructureLayer:
         failure).  Raises while no gateway is installed -- adaptation
         does not degrade silently, mirroring :meth:`set_backpressure`.
         """
-        gateway = self.registry.find_service("perpos.IngestionGateway")
+        gateway = GATEWAY.live(self.registry)
         if gateway is None:
             raise GraphError("no ingestion gateway installed")
         return gateway.replay(seq, ignore_backoff=ignore_backoff)
@@ -292,10 +291,10 @@ class ProcessStructureLayer:
         Raises while no durability manager is installed -- like
         :meth:`set_backpressure`, adaptation does not degrade silently.
         """
-        manager = self.registry.find_service("perpos.DurabilityManager")
+        manager = DURABILITY.live(self.registry)
         if manager is None:
             raise GraphError("no durability manager installed")
-        return manager.snapshot()
+        return manager.checkpoint()
 
     def restore(self) -> int:
         """Rebuild runtime state from the durability store's latest state.
@@ -304,7 +303,7 @@ class ProcessStructureLayer:
         after it, and returns the number of entries replayed.  Raises
         while no durability manager is installed.
         """
-        manager = self.registry.find_service("perpos.DurabilityManager")
+        manager = DURABILITY.live(self.registry)
         if manager is None:
             raise GraphError("no durability manager installed")
         return manager.restore()
@@ -319,7 +318,7 @@ class ProcessStructureLayer:
         (newest last).  Empty while no sharded engine is installed --
         inspection degrades gracefully, like :meth:`component_metrics`.
         """
-        sharding = self.registry.find_service("perpos.ShardedEngine")
+        sharding = SHARDING.live(self.registry)
         return sharding.migrations() if sharding is not None else []
 
     # -- supervision (failure seams) -----------------------------------------

@@ -15,11 +15,11 @@ uninterrupted run at every drain boundary.
 :class:`DurabilityManager` ties it together: it owns the store, attaches
 the journal to the engine, auto-snapshots every ``snapshot_every``
 entries, and surfaces everything to the PSL and the infrastructure
-report through its ``perpos.DurabilityManager`` service registration.
-It covers exactly the single engine it journals: warm handoffs between
-shards are the sharded coordinator's record, not this one's.  Its own
-counters (snapshots, bytes, restores, entries replayed) are the only
-record of its activity; :meth:`DurabilityManager.describe` shows them.
+report through its service registration.  It covers exactly the single
+engine it journals: warm handoffs between shards are the sharded
+coordinator's record, not this one's.  Its own counters (snapshots,
+bytes, restores, entries replayed) are the only record of its activity;
+:meth:`DurabilityManager.snapshot` shows them.
 """
 
 from __future__ import annotations
@@ -278,7 +278,7 @@ class DurabilityManager:
         self.journal = DurabilityJournal(
             self.store,
             snapshot_every=self.snapshot_every,
-            snapshot_fn=self.snapshot,
+            snapshot_fn=self.checkpoint,
         )
         engine.journal = self.journal
 
@@ -299,9 +299,9 @@ class DurabilityManager:
             )
         return engine
 
-    # -- snapshot / restore ------------------------------------------------
+    # -- checkpoint / restore ----------------------------------------------
 
-    def snapshot(self) -> Dict[str, Any]:
+    def checkpoint(self) -> Dict[str, Any]:
         """Persist one full checkpoint; returns summary info."""
         engine = self._engine()
         state = capture_state(self.graph, engine, gateway=self.gateway)
@@ -344,7 +344,7 @@ class DurabilityManager:
 
     # -- inspection --------------------------------------------------------
 
-    def describe(self) -> Dict[str, Any]:
+    def snapshot(self) -> Dict[str, Any]:
         """Reflective summary for the PSL and the infrastructure report."""
         return {
             "store": self.store.describe(),
@@ -357,3 +357,23 @@ class DurabilityManager:
                 self.journal.describe() if self.journal is not None else None
             ),
         }
+
+    def render(self, snapshot: Dict[str, Any]) -> List[str]:
+        """The report's ``durability:`` lines for a :meth:`snapshot`."""
+        store = snapshot["store"]
+        every = snapshot["snapshot_every"]
+        auto = f"every {every} entries" if every else "off"
+        lines: List[str] = []
+        lines.append(
+            f"  store={store['backend']}"
+            f" (snapshots={store['snapshots']},"
+            f" entries={store['entries']});"
+            f" auto_snapshot={auto}"
+        )
+        lines.append(
+            f"  snapshots_taken={snapshot['snapshots_taken']}"
+            f" (last={snapshot['last_snapshot_bytes']}B),"
+            f" restores={snapshot['restores']}"
+            f" (replayed={snapshot['entries_replayed']})"
+        )
+        return lines

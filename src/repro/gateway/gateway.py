@@ -50,6 +50,7 @@ from __future__ import annotations
 import time as _time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
+from repro.core.subsystems import fmt
 from repro.runtime import queues
 from repro.runtime.queues import IngestionQueue
 from repro.services.remote import RetryPolicy
@@ -647,6 +648,43 @@ class IngestionGateway:
                 "max_future_s": self.max_future_s,
             },
         }
+
+    def render(self, snapshot: Dict[str, Any]) -> List[str]:
+        """The report's ``gateway:`` lines for a :meth:`snapshot`."""
+        lines: List[str] = []
+        lines.append(
+            f"  source={snapshot['source']},"
+            f" formats={snapshot['formats']},"
+            f" policy={snapshot['device_policy']['policy']},"
+            f" devices={snapshot['devices']}"
+        )
+        lines.append(
+            f"  submitted={snapshot['submitted']},"
+            f" accepted={snapshot['accepted']},"
+            f" rejected={snapshot['rejected']},"
+            f" shed={snapshot['shed']},"
+            f" rate_limited={snapshot['rate_limited']},"
+            f" pending={snapshot['pending']}"
+        )
+        limiter = snapshot["rate_limit"]
+        if limiter is not None:
+            lines.append(
+                f"  rate limit: {fmt(limiter['rate'])}/s"
+                f" (burst {fmt(limiter['burst'])}),"
+                f" devices={limiter['keys']},"
+                f" allowed={limiter['allowed']},"
+                f" limited={limiter['limited']}"
+            )
+        dlq = snapshot["dlq"]
+        lines.append(
+            f"  dlq: depth={dlq['depth']}/{dlq['capacity']}"
+            f" (evicted={dlq['evicted']}),"
+            f" replayed={dlq['total_replayed']},"
+            f" exhausted={dlq['total_exhausted']}"
+        )
+        for stage, count in dlq["by_stage"].items():
+            lines.append(f"    {stage}: {count}")
+        return lines
 
     def close(self) -> None:
         """Stop accepting traffic (pending/DLQ stay inspectable)."""

@@ -53,6 +53,7 @@ from repro.core.channel import ChannelFeature
 from repro.core.data import Datum
 from repro.core.datatree import DataTree
 from repro.core.features import ComponentFeature
+from repro.core.subsystems import fmt
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import (
     FlowTrace,
@@ -315,6 +316,24 @@ class ObservabilityHub:
             "metrics": self.registry.snapshot(),
             "components": self.component_stats(),
         }
+
+    def render(self, snapshot: Dict[str, Any]) -> List[str]:
+        """The report's ``live metrics:`` lines for a :meth:`snapshot`."""
+        lines: List[str] = []
+        for name, stats in sorted(snapshot["components"].items()):
+            parts = [
+                f"in={stats.get('items_in', 0)}",
+                f"out={stats.get('items_out', 0)}",
+            ]
+            if stats.get("items_dropped"):
+                parts.append(f"dropped={stats['items_dropped']}")
+            if stats.get("errors"):
+                parts.append(f"errors={stats['errors']}")
+            latency = stats.get("latency")
+            if latency and latency["count"]:
+                parts.append(f"mean_latency_s={fmt(latency['mean'])}")
+            lines.append(f"  {name}: " + ", ".join(parts))
+        return lines
 
     def reset(self) -> None:
         """Zero all metrics (traces on in-flight datums are untouched)."""

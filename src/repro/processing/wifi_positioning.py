@@ -66,8 +66,6 @@ class FingerprintPositioningComponent(ProcessingComponent):
         name: str = "wifi-positioning",
         min_observations: int = 1,
     ) -> None:
-        if not radio_map:
-            raise ValueError("radio map must not be empty")
         if k <= 0:
             raise ValueError("k must be positive")
         super().__init__(
@@ -78,6 +76,10 @@ class FingerprintPositioningComponent(ProcessingComponent):
         if not isinstance(radio_map, RadioMap):
             radio_map = RadioMap(radio_map)
         index = radio_map.index()
+        if not index.positions:
+            # A point that hears no AP is skipped, so every scan would
+            # find no neighbour at all.
+            raise ValueError("radio map has no survey point that hears an AP")
         self._column = index.column
         self._positions = index.positions
         self._groups = index.groups

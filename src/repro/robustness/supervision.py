@@ -441,6 +441,25 @@ class Supervisor:
             "records": [r.as_dict() for r in self._records],
         }
 
+    def render(self, snapshot: Dict[str, Any]) -> List[str]:
+        """The report's ``supervision:`` lines for a :meth:`snapshot`."""
+        lines = [f"  policy: {snapshot['policy']['mode']}"]
+        if not snapshot["components"]:
+            lines.append("  all components healthy")
+        for name, state in sorted(snapshot["components"].items()):
+            lines.append(
+                f"  {name}: {state['health']}"
+                f" (failures={state['failures']},"
+                f" skipped={state['skipped']}, trips={state['trips']})"
+            )
+        for record in snapshot["records"][-5:]:
+            lines.append(
+                f"    ! failure #{record['seq']} {record['component']}"
+                f".{record['port']}: {record['error_type']}:"
+                f" {record['message']}"
+            )
+        return lines
+
     # -- durability ---------------------------------------------------------
 
     def state_snapshot(self) -> Dict[str, Any]:

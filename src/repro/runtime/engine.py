@@ -43,6 +43,7 @@ from typing import (
 
 from repro.core.component import SourceComponent
 from repro.core.data import Datum
+from repro.core.subsystems import fmt
 from repro.runtime.queues import DROP_OLDEST, IngestionQueue
 from repro.runtime.scheduler import FairScheduler, RoundRobinScheduler
 
@@ -468,3 +469,31 @@ class PositioningEngine:
             # private plan in the merged report.
             "plan": self.graph.plan_snapshot(),
         }
+
+    def render(self, snapshot: Dict[str, Any]) -> List[str]:
+        """The report's ``ingestion:`` lines for a :meth:`snapshot`."""
+        scheduler = snapshot["scheduler"]
+        knobs = ", ".join(
+            f"{key}={fmt(value)}"
+            for key, value in sorted(scheduler.items())
+            if key != "type"
+        )
+        detail = f" ({knobs})" if knobs else ""
+        lines: List[str] = []
+        lines.append(
+            f"  scheduler: {scheduler['type']}{detail};"
+            f" rounds={snapshot['rounds']},"
+            f" drained={snapshot['drained_total']},"
+            f" pending={snapshot['pending']}"
+        )
+        for target_id, lane in sorted(snapshot["lanes"].items()):
+            dropped = lane["dropped_oldest"] + lane["dropped_newest"]
+            lines.append(
+                f"  {target_id} @{lane['source']}: {lane['policy']}"
+                f" depth={lane['depth']}/{lane['capacity']}"
+                f" (hw={lane['high_water']}),"
+                f" accepted={lane['accepted']}, dropped={dropped},"
+                f" rejected={lane['rejected']},"
+                f" coalesced={lane['coalesced']}"
+            )
+        return lines

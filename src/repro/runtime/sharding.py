@@ -1054,3 +1054,33 @@ class ShardedEngine:
             "migrations_total": self.migrations_total,
             "per_shard": per_shard,
         }
+
+    def render(self, snapshot: Dict[str, Any]) -> List[str]:
+        """The report's ``sharding:`` lines for a :meth:`snapshot`."""
+        placement = snapshot["placement"]
+        lines: List[str] = []
+        lines.append(
+            f"  {snapshot['shards']} shards ({snapshot['executor']}),"
+            f" placement={placement['type']};"
+            f" targets={snapshot['targets']},"
+            f" rounds={snapshot['rounds']},"
+            f" drained={snapshot['drained_total']},"
+            f" pending={snapshot['pending']},"
+            f" migrations={snapshot['migrations_total']}"
+        )
+        for entry in snapshot["per_shard"]:
+            engine_snap = entry["engine"]
+            if engine_snap is None:
+                detail = "(unreadable)"
+            else:
+                detail = (
+                    f"lanes={len(engine_snap['lanes'])},"
+                    f" drained={engine_snap['drained_total']},"
+                    f" pending={engine_snap['pending']}"
+                )
+                if engine_snap["last_drain_truncated"]:
+                    detail += " TRUNCATED"
+            lines.append(f"  shard {entry['shard']}: {entry['status']}, {detail}")
+            if entry["error"]:
+                lines.append(f"    ! {entry['error']}")
+        return lines

@@ -490,6 +490,23 @@ class ControlLoop:
             "recent": [dict(r) for r in self._ledger[-5:]],
         }
 
+    def render(self, snapshot: Dict[str, Any]) -> List[str]:
+        """The report's ``control:`` lines for a :meth:`snapshot`."""
+        names = ", ".join(c["name"] for c in snapshot["controllers"]) or "-"
+        lines: List[str] = []
+        lines.append(
+            f"  controllers=[{names}],"
+            f" decisions={snapshot['decisions_total']},"
+            f" ledger={snapshot['ledger_depth']}/{snapshot['ledger_limit']}"
+        )
+        for record in snapshot["recent"]:
+            target = f" {record['target']}" if record.get("target") else ""
+            lines.append(
+                f"    t={record['tick']} {record['controller']}:"
+                f" {record['action']}{target} ({record['reason']})"
+            )
+        return lines
+
 
 def default_controllers(
     *,

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Dict, List, Optional
 
+from repro.core.subsystems import fmt
 from repro.runtime.queues import DROP_OLDEST
 
 from .city import ALERT_KIND, CityGenerator, ScenarioError
@@ -325,3 +326,30 @@ class ScenarioRunner:
                 "verdicts": dict(self.verdicts),
             },
         }
+
+    def render(self, snapshot: Dict[str, Any]) -> List[str]:
+        """The report's ``scenario:`` lines for a :meth:`snapshot`."""
+        generator = snapshot["generator"]
+        progress = snapshot["progress"]
+        loop = "closed" if snapshot["closed_loop"] else "open"
+        lines: List[str] = []
+        lines.append(
+            f"  seed={generator['seed']}, devices={generator['devices']}"
+            f" (joined={generator['joined_total']},"
+            f" left={generator['left_total']}),"
+            f" loop={loop}"
+        )
+        lines.append(
+            f"  ticks={progress['ticks']},"
+            f" submitted={progress['submitted']},"
+            f" drained={progress['drained']},"
+            f" pending={progress['pending']},"
+            f" high_water={progress['high_water']}"
+        )
+        lines.append(
+            f"  suppressed_fixes={generator['suppressed_total']},"
+            f" zone_lost={generator['zone_lost_total']},"
+            f" burst_extra={generator['burst_extra_total']},"
+            f" gps_threshold_m={fmt(generator['gps_threshold_m'])}"
+        )
+        return lines

@@ -7,6 +7,7 @@ from repro.core.data import Kind
 from repro.core.graph import GraphError, ProcessingGraph
 from repro.core.middleware import PerPos
 from repro.core.report import infrastructure_snapshot
+from repro.core.subsystems import SECTIONS, Subsystem
 from repro.runtime import PositioningEngine
 from repro.scenario import (
     CityConfig,
@@ -216,6 +217,33 @@ class TestServicesIntegration:
         assert registry.find_service("perpos.DurabilityManager") is None
         with pytest.raises(GraphError, match="no durability manager"):
             mw.psl.snapshot()
+
+    def test_every_enabled_service_plugs_into_the_report(self):
+        # Whatever an enable_X registers has a row in the subsystem
+        # table and renders its own snapshot, so no subsystem can skip
+        # the report; and every row is reachable through some enable_X.
+        rows = {section.interface for section in SECTIONS}
+        subsystems = [
+            name[len("enable_") :] for name in dir(PerPos) if name.startswith("enable_")
+        ]
+        plugged = set()
+        for subsystem in subsystems:
+            mw = PerPos()
+            registry = mw.framework.registry
+            layers = {ref.service_id for ref in registry.get_references()}
+            enabler(mw, subsystem)()
+            for ref in registry.get_references():
+                if ref.service_id in layers:
+                    continue
+                (interface,) = ref.interfaces
+                assert interface in rows, f"enable_{subsystem}: {interface}"
+                service = registry.get_service(ref)
+                assert isinstance(service, Subsystem)
+                lines = service.render(service.snapshot())
+                assert all(isinstance(line, str) for line in lines)
+                plugged.add(interface)
+            mw.disable_sharding()
+        assert plugged == rows
 
     def test_create_provider_registers_in_layer(self):
         mw = PerPos()

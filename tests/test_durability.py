@@ -340,7 +340,7 @@ class TestCaptureRestore:
         store = MemoryStateStore()
         manager = DurabilityManager(graph, store)
         manager.attach()
-        manager.snapshot()
+        manager.checkpoint()
         # Post-snapshot activity lands in the journal only.
         for i in range(4, 8):
             engine.submit("t1", datum(i, t=float(i)))
@@ -733,6 +733,25 @@ class TestMiddlewareDurability:
             d.payload for d in pp.graph.component("sink").received
         ] == expected
 
+    def test_enable_durability_rejects_live_sharding(self):
+        # The manager journals only the graph's engine; a restore would
+        # silently miss every shard lane.
+        pp, engine = middleware_with_runtime()
+        pp.enable_sharding(recipe, 2)
+        with pytest.raises(ValueError, match="durability with sharding"):
+            pp.enable_durability()
+        assert pp.durability is None
+        assert engine.journal is None
+        pp.disable_sharding()
+
+    def test_enable_sharding_rejects_live_durability(self):
+        pp, engine = middleware_with_runtime()
+        manager = pp.enable_durability()
+        with pytest.raises(ValueError, match="durability with sharding"):
+            pp.enable_sharding(recipe, 2)
+        assert pp.sharding is None
+        assert pp.durability is manager
+
     def test_psl_surfaces_degrade_or_raise_without_manager(self):
         pp, engine = middleware_with_runtime()
         assert pp.psl.migrations() == []  # inspection degrades
@@ -747,10 +766,10 @@ class TestMiddlewareDurability:
         manager = pp.enable_durability()
         engine.track("t1", "src")
         engine.submit("t1", datum(1))
-        manager.snapshot()
+        manager.checkpoint()
         engine.submit("t1", datum(2))
         manager.restore()
-        described = manager.describe()
+        described = manager.snapshot()
         assert described["snapshots_taken"] == 1
         assert described["restores"] == 1
         assert described["entries_replayed"] == 1

@@ -263,7 +263,7 @@ def composed_run(devices, waves=3):
 
     for n in range(waves):
         wave(n)
-    manager.snapshot()
+    manager.checkpoint()
     wave(waves)
     assert manager.restore() > 0
     engine.drain_all()
@@ -313,6 +313,6 @@ class TestOneOwnerPerCount:
                 + lane["coalesced"]
             )
         assert sum(lane["dropped_newest"] for lane in lanes) > 0
-        durability = middleware.durability.describe()
+        durability = middleware.durability.snapshot()
         assert durability["restores"] == 1
         assert durability["entries_replayed"] > 0

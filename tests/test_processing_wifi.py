@@ -77,6 +77,20 @@ class TestEngine:
                 radio_map, building.grid, k=0
             )
 
+    def test_rejects_map_with_no_usable_survey_point(self):
+        # A point that hears no AP is skipped by the index; with none
+        # left, every scan would divide by zero inside graph delivery.
+        building = demo_building()
+        with pytest.raises(ValueError, match="no survey point"):
+            FingerprintPositioningComponent(
+                [(GridPosition(1, 1), {})], building.grid
+            )
+        with pytest.raises(ValueError, match="no survey point"):
+            FingerprintPositioningComponent(
+                RadioMap([(GridPosition(1, 1), {}), (GridPosition(2, 2), {})]),
+                building.grid,
+            )
+
     def test_noise_free_scan_located_accurately(self, engine_setup):
         building, environment, engine, source, sink = engine_setup
         truth = GridPosition(15.0, 7.5)

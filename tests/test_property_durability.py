@@ -131,10 +131,10 @@ def test_snapshot_crash_restore_equals_uninterrupted(ops, cut):
     manager.attach()
     for tick, op in enumerate(ops):
         if tick == cut:
-            manager.snapshot()
+            manager.checkpoint()
         apply(engine_b, op, tick)
     if cut == len(ops):
-        manager.snapshot()
+        manager.checkpoint()
     del graph_b, engine_b  # the crash
 
     graph_c = build_graph()
@@ -170,7 +170,7 @@ def test_hub_counters_survive_crash(ops):
     manager.attach()
     for tick, op in enumerate(ops):
         apply(engine_b, op, tick)
-    manager.snapshot()
+    manager.checkpoint()
 
     pp_c, engine_c = middleware()
     restore_from_store(
@@ -191,7 +191,7 @@ def test_mid_stream_crash_recovers_partial_rounds():
     manager.attach()
     for i in range(6):
         engine.submit(TARGETS[i % 3], Datum("x", i, float(i)))
-    manager.snapshot()
+    manager.checkpoint()
     # Post-snapshot: more submits interleaved with partial drains.
     engine.submit("t1", Datum("x", 100, 6.0))
     engine.drain_round()
