@@ -93,9 +93,9 @@ class ProcessingComponent(abc.ABC):
 
     Subclasses declare ports and implement :meth:`process`.  All data
     movement goes through :meth:`receive_batch` (inbound, called by the
-    graph; by default it loops :meth:`receive`) and :meth:`produce`
-    (outbound, called by the implementation), so the feature
-    interception chain and graph observation see everything.
+    graph) and :meth:`produce_batch` (outbound), so the feature
+    interception chain and graph observation see everything;
+    :meth:`receive` and :meth:`produce` are batches of one.
 
     ``pcl_node`` marks components that *merge or re-derive* data by role
     (fusion engines, particle filters): the Process Channel Layer treats
@@ -119,8 +119,8 @@ class ProcessingComponent(abc.ABC):
         self._base_capabilities = tuple(output.capabilities)
         self.output_port = OutputPort(tuple(output.capabilities))
         self._features: List[ComponentFeature] = []
-        # Wired by the graph at attach time; None while detached.
-        self._deliver: Optional[Callable[[Datum], None]] = None
+        # The graph's hand-off (instrument, notify observers, route),
+        # wired at attach time; None while detached.
         self._deliver_batch: Optional[Callable[[List[Datum]], None]] = None
         self._observer: Optional["ComponentObserver"] = None
 
@@ -268,50 +268,24 @@ class ProcessingComponent(abc.ABC):
     # -- data flow -----------------------------------------------------------
 
     def receive(self, port_name: str, datum: Datum) -> None:
-        """Deliver one datum to an input port.
+        """Deliver one datum to an input port: a batch of one.
 
-        The graph delivers through :meth:`receive_batch`, whose default
-        loops this; the hub and the supervisor call it per datum.
+        The hub's and the supervisor's per-datum steps call this.
         """
-        port = self._inputs.get(port_name)
-        if port is None:
-            self.input_port(port_name)  # raises with the right message
-        if datum.kind not in port._accepts_set:
-            raise ComponentError(
-                f"port {self.name}.{port_name} does not accept kind"
-                f" {datum.kind!r}"
-            )
-        if self._features:
-            for feature in self._features:
-                intercepted = feature.consume(datum)
-                if intercepted is None:
-                    if self._observer is not None:
-                        self._observer.data_dropped(
-                            self, port_name, datum, feature.name
-                        )
-                    return
-                if intercepted.kind != datum.kind:
-                    raise FeatureError(
-                        f"feature {feature.name} changed data kind"
-                        f" {datum.kind!r} -> {intercepted.kind!r}"
-                    )
-                datum = intercepted
-        if self._observer is not None:
-            self._observer.data_consumed(self, port_name, datum)
-        self.process(port_name, datum)
+        self.receive_batch(port_name, (datum,))
 
     def receive_batch(self, port_name: str, datums: Sequence[Datum]) -> None:
         """Deliver a batch of datums to one input port.
 
-        The graph's delivery seam: its one routing loop,
+        The component's one consume body and the graph's delivery seam:
+        the graph's routing loop,
         :meth:`~repro.core.graph.ProcessingGraph.route_batch`, hands a
         whole batch over in one call (a produced datum is a batch of
-        one).  The default implementation simply loops
-        :meth:`receive`, so every component is batch-safe without
-        opting in; batch-aware components (see
-        :class:`FunctionComponent`, :class:`ApplicationSink`) override
-        it to hoist per-datum overhead out of the loop and to propagate
-        the batch downstream via :meth:`produce_batch`.
+        one).  Each datum, in order, passes the port's kind check, the
+        Component Feature ``consume`` chain and the observer event, then
+        :meth:`process`.  Datums ``process`` *returns* leave together in
+        one :meth:`produce_batch` after the batch; datums it passes to
+        :meth:`produce` leave at once.
 
         Contract: a batch delivery must be observationally equivalent to
         delivering the same datums one by one -- same feature-chain
@@ -319,59 +293,75 @@ class ProcessingComponent(abc.ABC):
         interleaving order across fan-out branches (a batch flows
         stage-by-stage instead of datum-by-datum).
         """
+        port = self._inputs.get(port_name)
+        if port is None:
+            self.input_port(port_name)  # raises with the right message
+        accepts = port._accepts_set
+        features = self._features
+        process = self.process
+        out: List[Datum] = []
         for datum in datums:
-            self.receive(port_name, datum)
+            if datum.kind not in accepts:
+                raise ComponentError(
+                    f"port {self.name}.{port_name} does not accept kind"
+                    f" {datum.kind!r}"
+                )
+            if features:
+                vetoed = None
+                for feature in features:
+                    intercepted = feature.consume(datum)
+                    if intercepted is None:
+                        vetoed = feature.name
+                        break
+                    if intercepted.kind != datum.kind:
+                        raise FeatureError(
+                            f"feature {feature.name} changed data kind"
+                            f" {datum.kind!r} -> {intercepted.kind!r}"
+                        )
+                    datum = intercepted
+                if vetoed is not None:
+                    if self._observer is not None:
+                        self._observer.data_dropped(
+                            self, port_name, datum, vetoed
+                        )
+                    continue
+            if self._observer is not None:
+                self._observer.data_consumed(self, port_name, datum)
+            result = process(port_name, datum)
+            if result is None:
+                continue
+            if isinstance(result, Datum):
+                out.append(result)
+            else:
+                out.extend(result)
+        if out:
+            self.produce_batch(out)
 
     @abc.abstractmethod
-    def process(self, port_name: str, datum: Datum) -> None:
-        """Handle one datum; call :meth:`produce` for any results."""
+    def process(
+        self, port_name: str, datum: Datum
+    ) -> Union[None, Datum, Iterable[Datum]]:
+        """Handle one datum.
+
+        Results either go to :meth:`produce` (they leave at once) or are
+        returned (``None``, a datum, or an iterable of datums; they
+        leave with the rest of the batch's results).
+        """
 
     def produce(self, datum: Datum) -> None:
-        """Send a datum out through the output port.
-
-        Runs the feature ``produce`` chain, then hands the datum to the
-        graph for delivery.  Producing a kind outside the output port's
-        capabilities is a contract violation and raises.
-        """
-        if datum.kind not in self.output_port._capabilities_set:
-            raise ComponentError(
-                f"component {self.name} declared capabilities"
-                f" {list(self.output_port.capabilities)}, cannot produce"
-                f" kind {datum.kind!r}"
-            )
-        if not datum.producer:
-            datum = datum.from_producer(self.name)
-        if self._features:
-            for feature in self._features:
-                intercepted = feature.produce(datum)
-                if intercepted is None:
-                    return
-                if intercepted.kind != datum.kind:
-                    raise FeatureError(
-                        f"feature {feature.name} changed data kind"
-                        f" {datum.kind!r} -> {intercepted.kind!r}"
-                    )
-                datum = intercepted
-        # _send inlined: one less interpreter frame per produced datum.
-        deliver = self._deliver
-        if deliver is not None:
-            deliver(datum)
+        """Send one datum out through the output port: a batch of one."""
+        self.produce_batch((datum,))
 
     def produce_batch(self, datums: Sequence[Datum]) -> None:
         """Send a batch of datums out through the output port.
 
-        Per-datum semantics are identical to :meth:`produce` -- the
-        capability check, producer stamping, and the feature ``produce``
-        chain all run per datum -- but the graph hand-off happens once
-        for the surviving batch, so downstream delivery can stay
-        batched.  Detached components fall back to per-datum
-        :meth:`produce` (which silently drops, as always).
+        The component's one produce body.  Per datum: the capability
+        check (producing a kind outside the output port's capabilities
+        is a contract violation and raises), producer stamping, and the
+        feature ``produce`` chain; then the surviving batch goes to the
+        graph in one hand-off, so downstream delivery stays batched.  A
+        detached component runs the same checks and drops the batch.
         """
-        deliver_batch = self._deliver_batch
-        if deliver_batch is None:
-            for datum in datums:
-                self.produce(datum)
-            return
         capabilities = self.output_port._capabilities_set
         features = self._features
         name = self.name
@@ -401,7 +391,8 @@ class ProcessingComponent(abc.ABC):
                 if vetoed:
                     continue
             out.append(datum)
-        if out:
+        deliver_batch = self._deliver_batch
+        if out and deliver_batch is not None:
             deliver_batch(out)
 
     def fused_fn(
@@ -414,7 +405,7 @@ class ProcessingComponent(abc.ABC):
         ``datum -> None | Datum | iterable`` callable here declares that
         calling it is equivalent to ``receive`` + ``process`` +
         ``produce`` *minus* the graph hand-off -- no port side effects,
-        no reliance on ``self._deliver``.  Components with richer
+        no reliance on ``self._deliver_batch``.  Components with richer
         delivery semantics return ``None`` (the default) and stay
         interpreted.
         """
@@ -431,15 +422,9 @@ class ProcessingComponent(abc.ABC):
                 f"feature data kind {datum.kind!r} not in capabilities of"
                 f" {self.name}"
             )
-        self._send(datum)
-
-    def _send(self, datum: Datum) -> None:
-        # Delivery (wired by the graph at attach time) is the single
-        # hand-off point: the graph instruments the datum, notifies
-        # observers, and routes it, in that order, so every party sees
-        # the same (possibly trace-annotated) envelope.
-        if self._deliver is not None:
-            self._deliver(datum)
+        deliver_batch = self._deliver_batch
+        if deliver_batch is not None:
+            deliver_batch([datum])
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -451,11 +436,6 @@ class ComponentObserver(abc.ABC):
     @abc.abstractmethod
     def data_consumed(
         self, component: ProcessingComponent, port_name: str, datum: Datum
-    ) -> None: ...
-
-    @abc.abstractmethod
-    def data_produced(
-        self, component: ProcessingComponent, datum: Datum
     ) -> None: ...
 
     def data_dropped(
@@ -496,7 +476,7 @@ class SourceComponent(ProcessingComponent):
 
         The entry point of the batched dispatch path: ingestion queues
         drain into it, and the whole batch travels stage-by-stage
-        through batch-aware components downstream.
+        downstream.
         """
         self.produce_batch(datums)
 
@@ -504,8 +484,9 @@ class SourceComponent(ProcessingComponent):
 class FunctionComponent(ProcessingComponent):
     """A component defined by a plain function.
 
-    ``fn(datum) -> None | Datum | iterable of Datum``; results are
-    produced in order.  Handy for small filters and adapters, and for
+    ``fn(datum) -> None | Datum | iterable of Datum``; :meth:`process`
+    returns the result, so a batch's results leave together, in order.
+    Handy for small filters and adapters, and for
     tests that need throwaway components.
     """
 
@@ -530,14 +511,10 @@ class FunctionComponent(ProcessingComponent):
         )
         self._fn = fn
 
-    def process(self, port_name: str, datum: Datum) -> None:
-        result = self._fn(datum)
-        if result is None:
-            return
-        if isinstance(result, Datum):
-            result = [result]
-        for item in result:
-            self.produce(item)
+    def process(
+        self, port_name: str, datum: Datum
+    ) -> Union[None, Datum, Iterable[Datum]]:
+        return self._fn(datum)
 
     def fused_fn(
         self,
@@ -550,66 +527,12 @@ class FunctionComponent(ProcessingComponent):
         if (
             cls.process is FunctionComponent.process
             and cls.receive is ProcessingComponent.receive
-            and cls.receive_batch is FunctionComponent.receive_batch
+            and cls.receive_batch is ProcessingComponent.receive_batch
             and cls.produce is ProcessingComponent.produce
             and cls.produce_batch is ProcessingComponent.produce_batch
         ):
             return self._fn
         return None
-
-    def receive_batch(self, port_name: str, datums: Sequence[Datum]) -> None:
-        """Batch-aware delivery: hoisted checks, one downstream hand-off.
-
-        Port lookup and the hot-path attribute loads happen once per
-        batch; the kind check, feature chain, and observer events stay
-        per datum (the :meth:`ProcessingComponent.receive_batch`
-        equivalence contract).  All results are collected and propagated
-        in one :meth:`produce_batch` call.
-        """
-        port = self._inputs.get(port_name)
-        if port is None:
-            self.input_port(port_name)  # raises with the right message
-        accepts = port._accepts_set
-        features = self._features
-        observer = self._observer
-        fn = self._fn
-        out: List[Datum] = []
-        for datum in datums:
-            if datum.kind not in accepts:
-                raise ComponentError(
-                    f"port {self.name}.{port_name} does not accept kind"
-                    f" {datum.kind!r}"
-                )
-            if features:
-                vetoed = None
-                for feature in features:
-                    intercepted = feature.consume(datum)
-                    if intercepted is None:
-                        vetoed = feature.name
-                        break
-                    if intercepted.kind != datum.kind:
-                        raise FeatureError(
-                            f"feature {feature.name} changed data kind"
-                            f" {datum.kind!r} -> {intercepted.kind!r}"
-                        )
-                    datum = intercepted
-                if vetoed is not None:
-                    if observer is not None:
-                        observer.data_dropped(
-                            self, port_name, datum, vetoed
-                        )
-                    continue
-            if observer is not None:
-                observer.data_consumed(self, port_name, datum)
-            result = fn(datum)
-            if result is None:
-                continue
-            if isinstance(result, Datum):
-                out.append(result)
-            else:
-                out.extend(result)
-        if out:
-            self.produce_batch(out)
 
 
 class ApplicationSink(ProcessingComponent):
@@ -639,39 +562,6 @@ class ApplicationSink(ProcessingComponent):
         if self._listeners:
             for listener in list(self._listeners):
                 listener(datum)
-
-    def receive_batch(self, port_name: str, datums: Sequence[Datum]) -> None:
-        """Batch-aware terminal delivery: append all, trim once.
-
-        Feature chains on sinks are rare, so the fast path covers the
-        featureless case; with features attached the default per-datum
-        loop keeps the interception semantics exact.
-        """
-        if self._features:
-            for datum in datums:
-                self.receive(port_name, datum)
-            return
-        port = self._inputs.get(port_name)
-        if port is None:
-            self.input_port(port_name)  # raises with the right message
-        accepts = port._accepts_set
-        observer = self._observer
-        listeners = self._listeners
-        received = self.received
-        for datum in datums:
-            if datum.kind not in accepts:
-                raise ComponentError(
-                    f"port {self.name}.{port_name} does not accept kind"
-                    f" {datum.kind!r}"
-                )
-            if observer is not None:
-                observer.data_consumed(self, port_name, datum)
-            received.append(datum)
-            if listeners:
-                for listener in list(listeners):
-                    listener(datum)
-        if len(received) > self._keep_last:
-            del received[: len(received) - self._keep_last]
 
     def state_snapshot(self) -> Optional[Dict[str, Any]]:
         """Received history (raw datums); listeners are not serialised."""

@@ -455,8 +455,7 @@ class ProcessingGraph(ComponentObserver):
         self._components[component.name] = component
         component._observer = self
         # partial() dispatches without an extra interpreter frame per
-        # produced datum (vs. a capturing lambda).
-        component._deliver = partial(self._dispatch, component)
+        # produced batch (vs. a capturing lambda).
         component._deliver_batch = partial(self._dispatch_batch, component)
         self._invalidate()
         self._notify_topology()
@@ -489,7 +488,6 @@ class ProcessingGraph(ComponentObserver):
             del self._components[name]
             self._invalidate()
             component._observer = None
-            component._deliver = None
             component._deliver_batch = None
             if reconnect:
                 for up in producers:
@@ -735,32 +733,29 @@ class ProcessingGraph(ComponentObserver):
 
     # -- delivery -----------------------------------------------------------------
 
-    def _dispatch(self, component: ProcessingComponent, datum: Datum) -> None:
-        """Take one produced datum from a component into the graph.
-
-        Instrumentation runs first so observers and consumers all see
-        the (possibly trace-annotated) datum the application will
-        eventually receive.
-        """
-        hub = self._instrumentation
-        if hub is not None:
-            datum = hub.datum_dispatched(component.name, datum)
-        for observer in self._observer_tuple:
-            observer.data_produced(component, datum)
-        self._route(component.name, datum)
-
     def _route(self, producer: str, datum: Datum) -> None:
-        """Route one produced datum: a batch of one."""
+        """Route one datum: a batch of one.
+
+        Nothing in the package calls this: a component's produced
+        datums reach :meth:`route_batch` through
+        :meth:`_dispatch_batch`.  It stays because perfbench's layer
+        tracer wraps ``_route`` by name, beside ``route_batch``, and
+        fails when an entry point it wraps is missing.
+        """
         self.route_batch(producer, [datum])
 
     def _dispatch_batch(
         self, component: ProcessingComponent, datums: List[Datum]
     ) -> None:
-        """Take a batch of produced datums from a component into the graph.
+        """Take produced datums from a component into the graph.
 
-        The batch twin of :meth:`_dispatch`: instrumentation and observer
-        events stay per datum (traces, PCL logical time), the routing
-        itself is resolved once per batch.
+        The graph's one hand-off, wired as each component's
+        ``_deliver_batch`` (a produced datum is a batch of one).
+        Instrumentation runs first, so observers and consumers all see
+        the (possibly trace-annotated) datums the application will
+        eventually receive; instrumentation and observer events stay
+        per datum (traces, PCL logical time), and the routing itself is
+        resolved once per batch.
         """
         hub = self._instrumentation
         if hub is not None:
@@ -858,13 +853,6 @@ class ProcessingGraph(ComponentObserver):
         """Component callback: fan the consume event out to observers."""
         for observer in self._observer_tuple:
             observer.data_consumed(component, port_name, datum)
-
-    def data_produced(
-        self, component: ProcessingComponent, datum: Datum
-    ) -> None:
-        """Fan the produce event out to observers (from :meth:`_dispatch`)."""
-        for observer in self._observer_tuple:
-            observer.data_produced(component, datum)
 
     def data_dropped(
         self,

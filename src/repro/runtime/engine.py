@@ -185,9 +185,7 @@ class PositioningEngine:
         if callable(attach):
             attach(lane)
         if self.journal is not None:
-            self.journal.record_track(
-                target_id, source.name, capacity, policy, weight
-            )
+            self.journal.record_track(target_id, source.name, capacity, policy, weight)
         return lane
 
     def untrack(self, target_id: str) -> TargetLane:

@@ -7,6 +7,9 @@ from repro.core.channel import Channel, ChannelFeature
 from repro.core.component import (
     ApplicationSink,
     FunctionComponent,
+    InputPort,
+    OutputPort,
+    ProcessingComponent,
     SourceComponent,
 )
 from repro.core.data import Datum
@@ -470,3 +473,119 @@ class TestMidStreamAttach:
         assert len(mine.trees) == len(everything.trees) > 5
         for a, b in zip(mine.trees, everything.trees):
             assert self.layers(a) == self.layers(b)
+
+
+class TestBatchedDataTrees:
+    """Fig. 4 trees do not depend on how a strand's input is batched.
+
+    Every engine lane drains through ``inject_batch``; a batch hand-off
+    announces all its outputs before the consumer takes the first.
+    """
+
+    @staticmethod
+    def payload_layers(tree):
+        return [[e.datum.payload for e in tree.layer(i)] for i in range(tree.depth)]
+
+    @staticmethod
+    def gps_trees(chunk):
+        """The GPS strand's trees, its fragments fed ``chunk`` at a time
+        (one at a time through ``inject`` when ``chunk`` is 1)."""
+        graph, gps, fragments = TestMidStreamAttach().build()
+        recorder = TreeRecorder()
+        ProcessChannelLayer(graph).channel("gps->app").attach_feature(recorder)
+        datums = [
+            Datum(Kind.NMEA_RAW, fragment, float(index))
+            for index, fragment in enumerate(fragments)
+        ]
+        for start in range(0, len(datums), chunk):
+            if chunk == 1:
+                gps.inject(datums[start])
+            else:
+                gps.inject_batch(datums[start : start + chunk])
+        return [TestMidStreamAttach.layers(tree) for tree in recorder.trees]
+
+    @pytest.mark.parametrize("chunk", [2, 3, 5, 17])
+    def test_batched_feeding_gives_the_per_datum_trees(self, chunk):
+        expected = self.gps_trees(1)
+        assert len(expected) > 5
+        assert self.gps_trees(chunk) == expected
+
+    @staticmethod
+    def arithmetic_trees(batched):
+        """src -> double -> inc, fed 0, 1, 2 as one batch or one by one."""
+        graph = ProcessingGraph()
+        graph.add(SourceComponent("src", ("x",)))
+        graph.add(
+            FunctionComponent(
+                "double", ("x",), ("x",), fn=lambda d: Datum("x", d.payload * 2, 0.0)
+            )
+        )
+        graph.add(
+            FunctionComponent(
+                "inc", ("x",), ("x",), fn=lambda d: Datum("x", d.payload + 1, 0.0)
+            )
+        )
+        graph.add(ApplicationSink("app", ("x",)))
+        graph.connect("src", "double")
+        graph.connect("double", "inc")
+        graph.connect("inc", "app")
+        recorder = TreeRecorder()
+        ProcessChannelLayer(graph).channel("src->app").attach_feature(recorder)
+        datums = [Datum("x", value, 0.0) for value in range(3)]
+        source = graph.component("src")
+        if batched:
+            source.inject_batch(datums)
+        else:
+            for datum in datums:
+                source.inject(datum)
+        return [TestBatchedDataTrees.payload_layers(tree) for tree in recorder.trees]
+
+    def test_tree_spans_inputs_taken_one_kind_group_at_a_time(self):
+        """A mixed-kind batch reaches a consumer one kind group at a
+        time, so the inputs behind one output arrive out of order."""
+
+        class Triples(ProcessingComponent):
+            def __init__(self):
+                super().__init__(
+                    "triples", (InputPort("in", ("x", "y")),), OutputPort(("x",))
+                )
+                self.held = []
+
+            def process(self, port_name, datum):
+                self.held.append(datum.payload)
+                if len(self.held) == 3:
+                    self.produce(Datum("x", tuple(self.held), 0.0))
+                    self.held = []
+
+        graph = ProcessingGraph()
+        graph.add(SourceComponent("src", ("x", "y")))
+        graph.add(Triples())
+        graph.add(ApplicationSink("app", ("x",)))
+        graph.connect("src", "triples")
+        graph.connect("triples", "app")
+        recorder = TreeRecorder()
+        ProcessChannelLayer(graph).channel("src->app").attach_feature(recorder)
+        graph.component("src").inject_batch(
+            [Datum("x", 0, 0.0), Datum("y", 1, 0.0), Datum("x", 2, 0.0)]
+        )
+        [tree] = recorder.trees
+        assert self.payload_layers(tree) == [[0, 1, 2], [(0, 2, 1)]]
+
+    def test_per_datum_function_component_trees(self):
+        assert self.arithmetic_trees(batched=False) == [
+            [[0], [0], [1]],
+            [[1], [2], [3]],
+            [[2], [4], [5]],
+        ]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "a FunctionComponent consumes its whole batch before its results"
+            " leave, so its first output's tree claims every input"
+        ),
+    )
+    def test_batched_function_component_trees_match_per_datum(self):
+        assert self.arithmetic_trees(batched=True) == self.arithmetic_trees(
+            batched=False
+        )

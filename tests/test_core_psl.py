@@ -155,4 +155,4 @@ class TestFeaturesAndInvocation:
     def test_invoke_private_method_blocked(self):
         psl, _s, _sink = build_layer()
         with pytest.raises(AttributeError):
-            psl.invoke("m", "_send")
+            psl.invoke("m", "_recompute_capabilities")

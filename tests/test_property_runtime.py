@@ -10,13 +10,22 @@ delivery happens exactly as often either way -- only the interleaving
 across datums of one batch may differ.  With tracing enabled the batch
 path falls back to per-datum delivery, so each datum's recorded flow
 trace must match the per-datum run *exactly*, not just as a multiset.
+
+The graphs mix stock ``FunctionComponent``s, whose ``process`` returns
+its results, with per-datum components whose ``process`` calls
+``produce`` once or twice: the one consume body serves both.
 """
 
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.component import FunctionComponent
+from repro.core.component import (
+    FunctionComponent,
+    InputPort,
+    OutputPort,
+    ProcessingComponent,
+)
 from repro.core.data import Datum
 from repro.core.graph import GraphError, GraphObserver, ProcessingGraph
 from repro.observability.instrumentation import ObservabilityHub
@@ -32,7 +41,11 @@ kind_sets = st.lists(
 
 operations = st.lists(
     st.one_of(
-        st.tuples(st.just("add"), st.sampled_from(NAMES), kind_sets),
+        # The last field: 0 builds a FunctionComponent, 1 or 2 a
+        # per-datum component producing each datum that many times.
+        st.tuples(
+            st.just("add"), st.sampled_from(NAMES), kind_sets, st.integers(0, 2)
+        ),
         st.tuples(
             st.just("remove"), st.sampled_from(NAMES), st.booleans()
         ),
@@ -54,6 +67,19 @@ operations = st.lists(
 batch_shape = st.lists(st.sampled_from(KINDS), min_size=1, max_size=6)
 
 
+class Repeater(ProcessingComponent):
+    """A per-datum component: ``process`` calls ``produce`` ``times``
+    times, so its outputs leave one at a time."""
+
+    def __init__(self, name, kinds, times):
+        super().__init__(name, (InputPort("in", kinds),), OutputPort(kinds))
+        self.times = times
+
+    def process(self, port_name, datum):
+        for _ in range(self.times):
+            self.produce(datum)
+
+
 def apply_operations(graph, ops):
     """Apply ``ops`` to ``graph``, skipping invalid ones.
 
@@ -63,8 +89,11 @@ def apply_operations(graph, ops):
     for op in ops:
         try:
             if op[0] == "add":
-                _, name, kinds = op
-                graph.add(FunctionComponent(name, kinds, kinds, fn=lambda d: d))
+                _, name, kinds, times = op
+                if times:
+                    graph.add(Repeater(name, kinds, times))
+                else:
+                    graph.add(FunctionComponent(name, kinds, kinds, fn=lambda d: d))
             elif op[0] == "remove":
                 _, name, reconnect = op
                 graph.remove(name, reconnect=reconnect)
