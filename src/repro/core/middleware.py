@@ -294,11 +294,11 @@ class PerPos:
         freshness checks and DLQ backoff) and keeps its own outcome
         counts, so it needs no observability hub.  Keyword arguments
         pass through to
-        :class:`~repro.gateway.IngestionGateway` (``formats``,
-        ``device_policy``, ``admission_capacity``, ``retry``,
-        ``max_age_s``, ...).  Re-enabling replaces the previous gateway
-        through :meth:`disable_gateway`, so its dead letters carry over
-        under durability.
+        :class:`~repro.gateway.IngestionGateway` (``device_policy``,
+        ``admission_capacity``, ``retry``, ``max_age_s``, ...).
+        Re-enabling replaces the previous gateway through
+        :meth:`disable_gateway`, so its dead letters carry over under
+        durability.
         """
         if engine is None:
             engine = self.sharding

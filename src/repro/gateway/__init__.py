@@ -43,8 +43,6 @@ from .wire import (
     FieldSpec,
     WireFormat,
     WireFormatError,
-    WireFormatRegistry,
-    builtin_registry,
     parse_timestamp,
 )
 
@@ -75,8 +73,6 @@ __all__ = [
     "TokenBucket",
     "WireFormat",
     "WireFormatError",
-    "WireFormatRegistry",
-    "builtin_registry",
     "parse_timestamp",
     "scale",
 ]

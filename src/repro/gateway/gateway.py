@@ -58,7 +58,7 @@ from repro.services.remote import RetryPolicy
 from .adapters import Crosswalk, CrosswalkError, SourceAdapter
 from .dlq import DeadLetter, DeadLetterQueue
 from .ratelimit import RateLimiter
-from .wire import WireFormat, WireFormatRegistry, builtin_registry
+from .wire import PHONE_TRACKER_V1, WireFormat, WireFormatError
 
 #: Verdicts returned by :meth:`IngestionGateway.submit`.
 ADMITTED = "admitted"  # pending in the admission queue
@@ -185,6 +185,11 @@ class ClosedWorldPolicy(DevicePolicy):
 class IngestionGateway:
     """Validates, normalises and admits raw external payloads.
 
+    A gateway starts out understanding ``phone_tracker_v1``, and
+    :meth:`register_format` teaches it more.  Its adapters, keyed by
+    format name, are its one table of formats: each holds its
+    :class:`~repro.gateway.wire.WireFormat`.
+
     Parameters
     ----------
     engine:
@@ -193,10 +198,6 @@ class IngestionGateway:
         ``is_tracked``/``track``/``submit``.
     source:
         The source-component name new auto-tracked targets are bound to.
-    formats:
-        Wire formats this gateway understands (the built-in registry --
-        ``phone_tracker_v1`` -- by default).  More can be added later
-        via :meth:`register_format`.
     device_policy:
         The unknown-device seam; :class:`AutoTrackPolicy` by default.
     admission_capacity / admission_policy:
@@ -218,7 +219,6 @@ class IngestionGateway:
         engine: Any,
         source: str,
         *,
-        formats: Optional[WireFormatRegistry] = None,
         device_policy: Optional[DevicePolicy] = None,
         admission_capacity: int = 256,
         admission_policy: str = queues.BLOCK,
@@ -237,7 +237,6 @@ class IngestionGateway:
             )
         self.engine = engine
         self.source = source
-        self.formats = formats if formats is not None else builtin_registry()
         self.device_policy = (
             device_policy if device_policy is not None else AutoTrackPolicy()
         )
@@ -264,8 +263,7 @@ class IngestionGateway:
         else:
             self.rate_limiter = RateLimiter(float(rate_limit))
         self._adapters: Dict[str, SourceAdapter] = {
-            name: SourceAdapter(self.formats.get(name))  # type: ignore[arg-type]
-            for name in self.formats.names()
+            PHONE_TRACKER_V1.name: SourceAdapter(PHONE_TRACKER_V1)
         }
         self._devices: Dict[str, bool] = {}  # device -> True once lane known
         self.closed = False
@@ -287,13 +285,17 @@ class IngestionGateway:
     ) -> SourceAdapter:
         """Teach the gateway a new wire format (+ optional crosswalk).
 
-        A replacing adapter continues the outcome counts of the one it
-        replaces, so the adapters' sums keep matching the gateway's
-        totals.
+        Re-registering a name requires ``replace=True``.  A replacing
+        adapter continues the outcome counts of the one it replaces, so
+        the adapters' sums keep matching the gateway's totals.
         """
-        self.formats.register(wire_format, replace=replace)
-        adapter = SourceAdapter(wire_format, crosswalk=crosswalk)
         previous = self._adapters.get(wire_format.name)
+        if previous is not None and not replace:
+            raise WireFormatError(
+                f"wire format {wire_format.name!r} already registered;"
+                f" pass replace=True to swap it"
+            )
+        adapter = SourceAdapter(wire_format, crosswalk=crosswalk)
         if previous is not None:
             for count in ("accepted", "rejected", "shed", "rate_limited", "replayed"):
                 setattr(adapter, count, getattr(previous, count))
@@ -497,12 +499,14 @@ class IngestionGateway:
                 f"payload must be a mapping, got {type(payload).__name__}",
             )
         format_name = payload.get(FORMAT_FIELD)
-        wire = self.formats.get(format_name)
-        if wire is None:
+        adapter = (
+            self._adapters.get(format_name) if isinstance(format_name, str) else None
+        )
+        if adapter is None:
             raise _Reject(
                 "format", f"unknown {FORMAT_FIELD} {format_name!r}"
             )
-        adapter = self._adapters[wire.name]
+        wire = adapter.wire_format
         try:
             normalized = adapter.normalize(payload)
         except CrosswalkError as exc:
@@ -623,7 +627,7 @@ class IngestionGateway:
         return {
             "source": self.source,
             "closed": self.closed,
-            "formats": self.formats.names(),
+            "formats": sorted(self._adapters),
             "adapters": {
                 name: adapter.describe()
                 for name, adapter in sorted(self._adapters.items())
@@ -693,6 +697,6 @@ class IngestionGateway:
     def __repr__(self) -> str:
         return (
             f"IngestionGateway(source={self.source!r},"
-            f" formats={self.formats.names()},"
+            f" formats={sorted(self._adapters)},"
             f" submitted={self.submitted}, dlq={len(self.dlq)})"
         )

@@ -15,15 +15,21 @@ so old devices keep working against the old contract while new ones roll
 forward -- the gateway never guesses which shape it was handed, the
 payload declares it in ``source_format``.
 
-The schema check is on the gateway's per-payload hot path, so
-:meth:`WireFormat.validate` is compiled once at construction into a
-specialised validator function -- every field name, kind branch and
-range bound is inlined as straight-line code (no spec traversal, no
-kind dispatch) and the happy path allocates nothing.
+The schema is data, not code: a format keeps one table row per field,
+and :meth:`WireFormat.validate` walks that table in field order.  The
+walk settles the shapes JSON decoding produces inline (a missing field,
+an exact float/int within bounds, an exact str) and hands any other
+value to one helper that returns its error.  Two rules hold beyond
+each :class:`FieldSpec`: a NaN never passes a :data:`FLOAT` or
+:data:`TIMESTAMP` field (every comparison with NaN is false, so it
+would pass any range or freshness check), and the format's timestamp
+field is always required (the gateway cannot place a payload in time
+without it).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -93,102 +99,34 @@ class FieldSpec:
             )
 
 
-def _compile_validator(
-    checks: Sequence[Tuple[str, bool, str, Optional[float], Optional[float]]],
-) -> Any:
-    """Compile field checks into one specialised validate function.
+def _field_error(
+    name: str, kind: str, value: Any, low: Any, high: Any
+) -> Optional[str]:
+    """The error for one present value the validate loop did not settle.
 
-    Generates straight-line code per field -- the name, kind test and
-    range bounds are all literals, so a payload walk does no spec
-    traversal and no kind dispatch.  The generated function mirrors the
-    reference semantics documented on :meth:`WireFormat.validate`.
+    ``low``/``high`` are the field's bounds, -inf/+inf where it has none;
+    a message prints the bound object itself.
     """
-    lines = [
-        "def _validate(payload):",
-        "    errors = None",
-        "    get = payload.get",
-    ]
-    emit = lines.append
-
-    def err(expr: str, indent: str) -> None:
-        emit(f"{indent}if errors is None:")
-        emit(f"{indent}    errors = []")
-        emit(f"{indent}errors.append({expr})")
-
-    for name, required, kind, minimum, maximum in checks:
-        emit(f"    v = get({name!r}, _MISSING)")
-        if kind == ANY:
-            if required:
-                emit("    if v is _MISSING:")
-                err(f"\"missing required field {name!r}\"", "        ")
-            continue
-        emit("    if v is not _MISSING:")
-        if kind == STRING:
-            emit("        if type(v) is not str and not isinstance(v, str):")
-            err(
-                f"f\"field {name!r} must be a string,"
-                f" got {{type(v).__name__}}\"",
-                "            ",
-            )
-        else:
-            # FLOAT and TIMESTAMP: exact type() probes cover the shapes
-            # JSON decoding produces; odd-but-valid values fall back to
-            # isinstance (FLOAT) or parse_timestamp (TIMESTAMP).  bool
-            # is its own type(), so it takes the slow path and fails
-            # there.
-            emit("        t = type(v)")
-            emit("        if t is not float and t is not int:")
-            if kind == FLOAT:
-                emit(
-                    "            if t is bool"
-                    " or not isinstance(v, (int, float)):"
-                )
-                err(
-                    f"f\"field {name!r} must be numeric,"
-                    f" got {{t.__name__}}\"",
-                    "                ",
-                )
-                emit("                v = _MISSING")
-            else:  # TIMESTAMP
-                emit("            try:")
-                emit("                v = parse_timestamp(v)")
-                emit("            except WireFormatError as exc:")
-                err(f"f\"field {name!r}: {{exc}}\"", "                ")
-                emit("                v = _MISSING")
-            if minimum is not None or maximum is not None:
-                emit("        if v is not _MISSING:")
-                if minimum is not None:
-                    emit(f"            if v < {minimum!r}:")
-                    err(
-                        f"f\"field {name!r}={{v!r}}"
-                        f" below minimum {minimum}\"",
-                        "                ",
-                    )
-                    if maximum is not None:
-                        emit(f"            elif v > {maximum!r}:")
-                        err(
-                            f"f\"field {name!r}={{v!r}}"
-                            f" above maximum {maximum}\"",
-                            "                ",
-                        )
-                elif maximum is not None:
-                    emit(f"            if v > {maximum!r}:")
-                    err(
-                        f"f\"field {name!r}={{v!r}}"
-                        f" above maximum {maximum}\"",
-                        "                ",
-                    )
-        if required:
-            emit("    else:")
-            err(f"\"missing required field {name!r}\"", "        ")
-    emit("    return errors if errors is not None else []")
-    namespace: Dict[str, Any] = {
-        "_MISSING": _MISSING,
-        "parse_timestamp": parse_timestamp,
-        "WireFormatError": WireFormatError,
-    }
-    exec("\n".join(lines), namespace)  # noqa: S102 -- schema compilation
-    return namespace["_validate"]
+    if kind == STRING:
+        if isinstance(value, str):
+            return None
+        return f"field {name!r} must be a string, got {type(value).__name__}"
+    value_type = type(value)
+    if kind == TIMESTAMP:
+        if value_type is not float and value_type is not int:
+            try:
+                value = parse_timestamp(value)
+            except WireFormatError as exc:
+                return f"field {name!r}: {exc}"
+    elif value_type is bool or not isinstance(value, (int, float)):
+        return f"field {name!r} must be numeric, got {value_type.__name__}"
+    if value != value:
+        return f"field {name!r} is NaN"
+    if value < low:
+        return f"field {name!r}={value!r} below minimum {low}"
+    if value > high:
+        return f"field {name!r}={value!r} above maximum {high}"
+    return None
 
 
 class WireFormat:
@@ -233,15 +171,21 @@ class WireFormat:
         self.fields: Tuple[FieldSpec, ...] = tuple(fields)
         self.device_field = device_field
         self.timestamp_field = timestamp_field
-        # Flat check tuples (kept for introspection), compiled once
-        # into a specialised validator for the per-payload hot path.
-        self._checks: Tuple[
-            Tuple[str, bool, str, Optional[float], Optional[float]], ...
-        ] = tuple(
-            (spec.name, spec.required, spec.kind, spec.minimum, spec.maximum)
+        # The field table validate walks, in field order.  A missing
+        # bound is +-inf, so the range test is one chained comparison.
+        # The timestamp field is required whatever its spec says: the
+        # gateway cannot place a payload in time without it.
+        self._table: Tuple[Tuple[str, bool, str, bool, Any, Any], ...] = tuple(
+            (
+                spec.name,
+                spec.required or spec.name == timestamp_field,
+                spec.kind,
+                spec.kind in (FLOAT, TIMESTAMP),
+                -math.inf if spec.minimum is None else spec.minimum,
+                math.inf if spec.maximum is None else spec.maximum,
+            )
             for spec in self.fields
         )
-        self._validator = _compile_validator(self._checks)
 
     @property
     def version(self) -> int:
@@ -256,18 +200,38 @@ class WireFormat:
     def validate(self, payload: Mapping[str, Any]) -> List[str]:
         """Schema-check one payload; returns error strings (empty = valid).
 
-        Reference semantics (the compiled validator inlines exactly
-        this): a missing required field errors; :data:`FLOAT` accepts
-        int/float but never bool, with inclusive range bounds;
-        :data:`STRING` accepts str; :data:`TIMESTAMP` accepts epoch
-        numbers directly and parses other shapes via
-        :func:`parse_timestamp`, bounds applying to the parsed value;
-        :data:`ANY` only checks presence.  Exact ``type()`` probes cover
-        the shapes JSON decoding produces (the hot path); odd-but-valid
-        values (int/float subclasses other than bool) fall back to
-        ``isinstance``.
+        Walks the field table in field order, at most one error per
+        field: a missing required field errors (the timestamp field is
+        always required); :data:`FLOAT` accepts int/float but never bool
+        or NaN, with inclusive range bounds; :data:`STRING` accepts str;
+        :data:`TIMESTAMP` accepts epoch numbers directly and parses other
+        shapes via :func:`parse_timestamp`, bounds applying to the parsed
+        value, and refuses NaN; :data:`ANY` only checks presence.  The
+        loop settles the shapes JSON decoding produces with exact
+        ``type()`` probes; any other value (int/float/str subclasses,
+        ISO strings, out-of-range numbers, wrong types) goes to
+        :func:`_field_error`.
         """
-        return self._validator(payload)
+        errors: List[str] = []
+        get = payload.get
+        for name, required, kind, numeric, low, high in self._table:
+            value = get(name, _MISSING)
+            value_type = type(value)
+            if numeric:
+                if (value_type is float or value_type is int) and low <= value <= high:
+                    continue
+            elif value_type is str:
+                continue
+            if value is _MISSING:
+                if required:
+                    errors.append(f"missing required field {name!r}")
+                continue
+            if kind == ANY:
+                continue
+            error = _field_error(name, kind, value, low, high)
+            if error is not None:
+                errors.append(error)
+        return errors
 
     # -- field access ---------------------------------------------------------
 
@@ -336,41 +300,3 @@ PHONE_TRACKER_V1 = WireFormat(
         FieldSpec("note", STRING),
     ),
 )
-
-
-class WireFormatRegistry:
-    """Named lookup of the wire formats one gateway understands."""
-
-    def __init__(self, formats: Sequence[WireFormat] = ()) -> None:
-        self._formats: Dict[str, WireFormat] = {}
-        for wire_format in formats:
-            self.register(wire_format)
-
-    def register(self, wire_format: WireFormat, replace: bool = False) -> None:
-        """Add a format; re-registering a name requires ``replace``."""
-        if wire_format.name in self._formats and not replace:
-            raise WireFormatError(
-                f"wire format {wire_format.name!r} already registered;"
-                f" pass replace=True to swap it"
-            )
-        self._formats[wire_format.name] = wire_format
-
-    def get(self, name: Any) -> Optional[WireFormat]:
-        """The format registered under ``name``, or None."""
-        if not isinstance(name, str):
-            return None
-        return self._formats.get(name)
-
-    def names(self) -> List[str]:
-        return sorted(self._formats)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._formats
-
-    def __len__(self) -> int:
-        return len(self._formats)
-
-
-def builtin_registry() -> WireFormatRegistry:
-    """A fresh registry holding every built-in wire format."""
-    return WireFormatRegistry((PHONE_TRACKER_V1,))

@@ -11,6 +11,7 @@ the middleware/PSL/report/hub surfaces, and the ISSUE acceptance storm
 drives :class:`FaultInjectionFeature` payload corruption at the edge).
 """
 
+import json
 import random
 
 import pytest
@@ -45,7 +46,6 @@ from repro.gateway import (
     SourceAdapter,
     WireFormat,
     WireFormatError,
-    builtin_registry,
     parse_timestamp,
     scale,
 )
@@ -226,24 +226,23 @@ class TestWireFormat:
 
 
 class TestWireFormatRegistry:
-    def test_builtin_registry_is_a_fresh_copy(self):
-        first, second = builtin_registry(), builtin_registry()
-        assert first.names() == ["phone_tracker_v1"]
-        assert first is not second
+    """The gateway's one table of formats: its adapters, by format name."""
 
     def test_reregistering_requires_replace(self):
-        registry = builtin_registry()
+        gateway, _, _, _ = make_gateway()
         with pytest.raises(WireFormatError):
-            registry.register(PHONE_TRACKER_V1)
-        registry.register(PHONE_TRACKER_V1, replace=True)
-        assert len(registry) == 1
+            gateway.register_format(PHONE_TRACKER_V1)
+        gateway.register_format(PHONE_TRACKER_V1, replace=True)
+        assert gateway.snapshot()["formats"] == ["phone_tracker_v1"]
 
     def test_get_tolerates_non_string_names(self):
-        registry = builtin_registry()
-        assert registry.get(None) is None
-        assert registry.get(3) is None
-        assert registry.get("phone_tracker_v1") is PHONE_TRACKER_V1
-        assert "phone_tracker_v1" in registry
+        gateway, _, _, _ = make_gateway()
+        names = [None, 3, ["phone_tracker_v1"], {"phone_tracker_v1": 1}]
+        for name in names:
+            assert gateway.submit(payload(source_format=name)) == REJECTED
+        assert [r.stage for r in gateway.dlq.records()] == ["format"] * 4
+        assert gateway.submit(payload()) == ADMITTED
+        assert gateway.adapter("phone_tracker_v1").wire_format is PHONE_TRACKER_V1
 
 
 # -- crosswalks ---------------------------------------------------------------
@@ -490,6 +489,47 @@ class TestGatewayPipeline:
         assert gateway.submit(payload(t=1010.0)) == REJECTED
         stages = [r.stage for r in gateway.dlq.records()]
         assert stages == ["freshness", "freshness"]
+
+    def test_nan_is_rejected_at_schema(self):
+        # Every comparison with NaN is false, so a NaN would pass both a
+        # range bound and the freshness window.  json.loads reads NaN.
+        gateway, _, _, clock = make_gateway(max_age_s=5.0, max_future_s=1.0)
+        clock.now = 100.0
+        assert gateway.submit(payload(t=50.0)) == REJECTED
+        for field in ("timestamp", "lat", "alt_m"):
+            text = json.dumps(payload(t=100.0, **{field: float("nan")}))
+            assert gateway.submit(json.loads(text)) == REJECTED
+        assert gateway.pending == 0
+        records = gateway.dlq.records()
+        assert [(r.stage, r.reason) for r in records[1:]] == [
+            ("schema", "field 'timestamp' is NaN"),
+            ("schema", "field 'lat' is NaN"),
+            ("schema", "field 'alt_m' is NaN"),
+        ]
+        assert records[0].stage == "freshness"
+        assert gateway.adapter("phone_tracker_v1").rejected == 4
+
+    def test_missing_optional_timestamp_is_rejected_at_schema(self):
+        # The gateway cannot place a payload in time without its
+        # timestamp field, so that field is required whatever its spec.
+        gateway, _, _, _ = make_gateway()
+        adapter = gateway.register_format(
+            WireFormat(
+                "tracker_v2",
+                (
+                    FieldSpec("device_id", "str", required=True),
+                    FieldSpec("timestamp", "timestamp"),
+                ),
+            )
+        )
+        raw = {"source_format": "tracker_v2", "device_id": "d1"}
+        assert gateway.submit(raw) == REJECTED
+        record = gateway.dlq.records()[-1]
+        assert (record.stage, record.reason) == (
+            "schema",
+            "missing required field 'timestamp'",
+        )
+        assert adapter.rejected == gateway.rejected == 1
 
     def test_closed_world_policy_admits_only_pretracked_devices(self):
         gateway, engine, sink, _ = make_gateway(device_policy=ClosedWorldPolicy())

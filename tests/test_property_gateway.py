@@ -8,7 +8,8 @@ multiset* as submitting the whole stream in canonical form -- the fix
 lives in middleware configuration, so no information is lost at the
 edge.  A second property pins the accounting invariant
 (``submitted == accepted + rejected + shed + pending``) and submit's
-no-raise contract over arbitrary junk payloads.
+no-raise contract over arbitrary junk payloads, NaN and +-inf among
+their numbers.
 """
 
 from collections import Counter
@@ -59,7 +60,7 @@ junk_payloads = st.lists(
                 st.none(),
                 st.booleans(),
                 st.integers(min_value=-(10**6), max_value=10**6),
-                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(),  # NaN and +-inf included
                 st.text(max_size=12),
                 st.just("phone_tracker_v1"),
             ),
