@@ -12,16 +12,19 @@ the :class:`~repro.core.datatree.DataTree` and hands it to every
 attached feature via ``apply`` (paper: "The method is called by the
 middleware every time the Channel delivers a data element").
 
-A channel the PCL derived observes on demand.  Without a feature it
-only *counts*: it sees its last member's outputs, keeps the latest one,
-and so still answers ``latest_output()``, ``stats()`` and the report,
-but keeps no per-member state.  Attaching the first feature (through the
-PCL or :meth:`Channel.attach_feature`) starts the bookkeeping; detaching
-the last one stops it and frees the histories.  A feature attached
-mid-stream receives trees only for outputs whose contributing elements
-were all observed after the attach: a member that had consumed inputs
-without producing yet (an NMEA parser halfway through a sentence)
-contributes its next output only to withheld trees.
+Every channel reads its output count and latest output from its last
+member, which records both when the graph takes its outputs; the
+channel counts from its own creation.  A channel the PCL derived
+observes on demand: without a feature it takes no event at all, and
+still answers ``latest_output()``, ``stats()`` and the report.
+Attaching the first feature (through the PCL or
+:meth:`Channel.attach_feature`) starts the bookkeeping; detaching the
+last one stops it and frees the histories.
+A feature attached mid-stream receives trees only for outputs whose
+contributing elements were all observed after the attach: a member
+that had consumed inputs without producing yet (an NMEA parser halfway
+through a sentence, which the component itself notes) contributes its
+next output only to withheld trees.
 """
 
 from __future__ import annotations
@@ -179,9 +182,9 @@ class Channel(GraphObserver):
     With ``subscribe=True`` (the default) the channel registers itself
     as a graph observer and keeps the full bookkeeping from construction
     on, feature or not -- the explicit opt-in for tools.  With
-    ``subscribe=False`` the owner (the PCL) routes events to it: every
-    event of its members while it has a feature, only its last member's
-    outputs while it has none (see the module docstring).
+    ``subscribe=False`` the owner (the PCL) routes every event of its
+    members to it while it has a feature, and none while it has none
+    (see the module docstring).
     """
 
     def __init__(
@@ -203,11 +206,13 @@ class Channel(GraphObserver):
         self.history_limit = history_limit
         self.feature_error_limit = feature_error_limit
         self._member_index = {m.name: i for i, m in enumerate(self.members)}
-        # Per-layer logical time; while the channel only counts, just
-        # the last layer's advances (the channel's output count).
+        # Per-layer logical time, advanced while observing; the last
+        # layer's goes on from the output count.
         self._counters: List[int] = [0] * len(self.members)
-        # The latest output datum, kept in both modes.
-        self._latest: Optional[Datum] = None
+        # The output count and latest output are the last member's
+        # records since now (see _output_state); close() freezes them.
+        self._base = self.members[-1]._outputs
+        self._frozen: Optional[Tuple[int, Optional[Datum]]] = None
         # Per-member bookkeeping, allocated while observing only.
         self._observing = False
         self._pending: List[List[int]] = []
@@ -266,10 +271,11 @@ class Channel(GraphObserver):
         }
 
     def close(self) -> None:
-        """Stop observing; detach features."""
+        """Stop observing; detach features; freeze the output count."""
         self._unsubscribe()
         for feature in list(self._features):
             self.detach_feature(feature.name)
+        self._frozen = self._output_state()
 
     # -- channel features --------------------------------------------------------
 
@@ -332,6 +338,7 @@ class Channel(GraphObserver):
             0 if index == 0 or clean[index] else _UNTRUSTED
             for index in layers
         ]
+        self._counters[-1] = self._output_state()[0]
         self._observing = True
 
     def _stop_observing(self) -> None:
@@ -341,10 +348,14 @@ class Channel(GraphObserver):
         self._history = []
         self._trusted = []
 
-    def _count_output(self, datum: Datum) -> None:
-        """Counting mode: the last member produced ``datum``."""
-        self._counters[-1] += 1
-        self._latest = datum
+    def _output_state(self) -> Tuple[int, Optional[Datum]]:
+        """The outputs delivered since the channel was created, and the
+        latest one: the last member's records (one owner per count)."""
+        if self._frozen is not None:
+            return self._frozen
+        last = self.members[-1]
+        count = last._outputs - self._base
+        return count, (last._latest_output if count else None)
 
     # -- logical time bookkeeping (graph observation) ----------------------------
 
@@ -414,7 +425,6 @@ class Channel(GraphObserver):
                 # The inputs held at the start are flushed now.
                 self._trusted[index] = logical_time + 1
         if index == len(self.members) - 1:
-            self._latest = datum
             self._deliver_output(element)
 
     def _deliver_output(self, element: DataTreeElement) -> None:
@@ -483,13 +493,13 @@ class Channel(GraphObserver):
         """
         if self._observing and self._history[-1]:
             return self._history[-1][-1]
-        datum = self._latest
+        count, datum = self._output_state()
         if datum is None:
             return None
         last = len(self.members) - 1
         return DataTreeElement(
             datum=datum,
-            logical_time=self._counters[last],
+            logical_time=count,
             time_range=None,
             layer=last,
             producer=datum.producer or self.members[last].name,
@@ -508,7 +518,7 @@ class Channel(GraphObserver):
         hub = self.graph.instrumentation
         return {
             "id": self.id,
-            "outputs_delivered": self._counters[-1],
+            "outputs_delivered": self._output_state()[0],
             "feature_errors": self.feature_error_count,
             "members": (
                 {
@@ -524,7 +534,7 @@ class Channel(GraphObserver):
         """Flow trace carried by the latest output datum, if tracing is on."""
         from repro.observability.tracing import trace_of
 
-        datum = self._latest
+        datum = self._output_state()[1]
         return trace_of(datum) if datum is not None else None
 
     def __repr__(self) -> str:

@@ -123,6 +123,23 @@ class ProcessingComponent(abc.ABC):
         # wired at attach time; None while detached.
         self._deliver_batch: Optional[Callable[[List[Datum]], None]] = None
         self._observer: Optional["ComponentObserver"] = None
+        # The graph's consume-event fan-out, wired only while some graph
+        # observer takes per-datum events; None otherwise.
+        self._notify_consumed: Optional[
+            Callable[["ProcessingComponent", str, Datum], None]
+        ] = None
+        # Outputs handed to the graph (feature-added data included) and
+        # the latest one: channels read them from their last member.
+        # The graph's hand-off records them, and clears _holding, only
+        # while it has a subscribed observer: without one no channel
+        # reads them (fused chains, which skip the hand-off, only
+        # compile then too).
+        self._outputs = 0
+        self._latest_output: Optional[Datum] = None
+        # Whether inputs consumed since this component's last own output
+        # are held (a parser halfway through a sentence): a Channel
+        # Feature attached now must not get the tree they end up in.
+        self._holding = False
 
     # -- structure ---------------------------------------------------------
 
@@ -282,7 +299,8 @@ class ProcessingComponent(abc.ABC):
         :meth:`~repro.core.graph.ProcessingGraph.route_batch`, hands a
         whole batch over in one call (a produced datum is a batch of
         one).  Each datum, in order, passes the port's kind check, the
-        Component Feature ``consume`` chain and the observer event, then
+        Component Feature ``consume`` chain and the consume event (made
+        only while a graph observer takes per-datum events), then
         :meth:`process`.  Datums ``process`` *returns* leave together in
         one :meth:`produce_batch` after the batch; datums it passes to
         :meth:`produce` leave at once.
@@ -325,8 +343,9 @@ class ProcessingComponent(abc.ABC):
                             self, port_name, datum, vetoed
                         )
                     continue
-            if self._observer is not None:
-                self._observer.data_consumed(self, port_name, datum)
+            self._holding = True
+            if self._notify_consumed is not None:
+                self._notify_consumed(self, port_name, datum)
             result = process(port_name, datum)
             if result is None:
                 continue

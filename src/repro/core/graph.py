@@ -122,7 +122,10 @@ class GraphObserver:
     """Callbacks for observing the live graph; all optional.
 
     Channels (PCL) subscribe to reconstruct logical time; the overhead
-    ablation benchmark subscribes to count traffic.
+    ablation benchmark subscribes to count traffic.  The three ``data_*``
+    callbacks are per-datum events, handed only to observers that take
+    them (see :meth:`ProcessingGraph.add_observer`); every subscribed
+    observer gets ``topology_changed`` and ``flow_resumed``.
     """
 
     def data_consumed(
@@ -147,6 +150,13 @@ class GraphObserver:
     def topology_changed(self, graph: "ProcessingGraph") -> None:  # pragma: no cover
         pass
 
+    def flow_resumed(self, graph: "ProcessingGraph") -> None:
+        """Data is about to move for the first time since the topology
+        last changed or an observer subscribed: called once, before
+        that hand-off.  A view derived lazily from the topology (the
+        PCL's channels) derives here, so no datum crosses a changed
+        graph before its view does."""
+
 
 class ProcessingGraph(ComponentObserver):
     """A mutable DAG of processing components with synchronous delivery."""
@@ -159,9 +169,17 @@ class ProcessingGraph(ComponentObserver):
         self._upstream_index: Dict[str, List[str]] = {}
         self._downstream_index: Dict[str, List[str]] = {}
         self._observers: List[GraphObserver] = []
-        # Immutable fan-out snapshot, rebuilt on (un)subscription only;
-        # the hot path iterates it without a per-event list copy.
+        # Subscribed observers that take no per-datum events now.
+        self._quiet: List[GraphObserver] = []
+        # Immutable fan-out snapshots, rebuilt on (un)subscription and
+        # on observe_data only; the hot path iterates them without a
+        # per-event list copy.  The first holds every subscribed
+        # observer, the second those handed per-datum events.
         self._observer_tuple: Tuple[GraphObserver, ...] = ()
+        self._data_observers: Tuple[GraphObserver, ...] = ()
+        # Whether the next hand-off must announce flow_resumed (a
+        # topology change or subscription since the last one).
+        self._unannounced: bool = False
         # Optional runtime instrumentation; None keeps the hot path bare.
         self._instrumentation: Optional["ObservabilityHub"] = None
         # Optional failure supervision; None keeps the hot path bare.
@@ -454,6 +472,9 @@ class ProcessingGraph(ComponentObserver):
             )
         self._components[component.name] = component
         component._observer = self
+        component._notify_consumed = (
+            self.data_consumed if self._data_observers else None
+        )
         # partial() dispatches without an extra interpreter frame per
         # produced batch (vs. a capturing lambda).
         component._deliver_batch = partial(self._dispatch_batch, component)
@@ -488,6 +509,7 @@ class ProcessingGraph(ComponentObserver):
             del self._components[name]
             self._invalidate()
             component._observer = None
+            component._notify_consumed = None
             component._deliver_batch = None
             if reconnect:
                 for up in producers:
@@ -755,19 +777,43 @@ class ProcessingGraph(ComponentObserver):
         the (possibly trace-annotated) datums the application will
         eventually receive; instrumentation and observer events stay
         per datum (traces, PCL logical time), and the routing itself is
-        resolved once per batch.
+        resolved once per batch.  While an observer is subscribed, the
+        component's output count, latest output and held-inputs flag are
+        recorded here, before routing, for channels to read.
         """
         hub = self._instrumentation
         if hub is not None:
             dispatched = hub.datum_dispatched
             name = component.name
             datums = [dispatched(name, datum) for datum in datums]
-        observers = self._observer_tuple
+        if self._observer_tuple:
+            if self._unannounced or self._data_observers:
+                self._watch_dispatch(component, datums)
+            component._outputs += len(datums)
+            component._latest_output = datums[-1]
+            if component._holding:
+                for datum in datums:
+                    # Feature-added data ("component#Feature") leaves
+                    # the inputs held.
+                    if "#" not in datum.producer:
+                        component._holding = False
+                        break
+        self.route_batch(component.name, datums)
+
+    def _watch_dispatch(
+        self, component: ProcessingComponent, datums: List[Datum]
+    ) -> None:
+        """The observers' share of a hand-off: announce a changed
+        topology once, then hand each datum to the data observers."""
+        if self._unannounced:
+            self._unannounced = False
+            for observer in self._observer_tuple:
+                observer.flow_resumed(self)
+        observers = self._data_observers
         if observers:
             for datum in datums:
                 for observer in observers:
                     observer.data_produced(component, datum)
-        self.route_batch(component.name, datums)
 
     def route_batch(self, producer: str, datums: List[Datum]) -> None:
         """Route a batch of datums from ``producer`` in one pass.
@@ -823,23 +869,59 @@ class ProcessingGraph(ComponentObserver):
 
     # -- observation ----------------------------------------------------------------
 
-    def add_observer(self, observer: GraphObserver) -> Callable[[], None]:
+    def add_observer(
+        self, observer: GraphObserver, data_events: bool = True
+    ) -> Callable[[], None]:
         """Subscribe to graph events; returns an unsubscribe callable.
 
-        Observers gate plan compilation (they must see every per-hop
+        With ``data_events=False`` the observer gets topology events
+        only until it asks for per-datum events with
+        :meth:`observe_data`.  Subscribed observers gate plan
+        compilation either way (they must be able to see every per-hop
         event), so (un)subscription invalidates the compiled plan.
         """
         self._observers.append(observer)
-        self._observer_tuple = tuple(self._observers)
+        if not data_events:
+            self._quiet.append(observer)
+        self._unannounced = True
+        self._refresh_observers()
         self.invalidate_plan()
 
         def _remove() -> None:
             if observer in self._observers:
                 self._observers.remove(observer)
-                self._observer_tuple = tuple(self._observers)
+                self._quiet = [o for o in self._quiet if o is not observer]
+                self._refresh_observers()
                 self.invalidate_plan()
 
         return _remove
+
+    def observe_data(self, observer: GraphObserver, enabled: bool) -> None:
+        """Start or stop handing a subscribed observer per-datum events.
+
+        While no observer takes them, a hand-off makes no observer call
+        and a component's consume body makes no call into the graph.
+        """
+        quiet = [o for o in self._quiet if o is not observer]
+        if not enabled:
+            quiet.append(observer)
+        self._quiet = quiet
+        self._refresh_observers()
+
+    def _refresh_observers(self) -> None:
+        """Rebuild the fan-out snapshots and the components' consume
+        hooks after the observer set changed."""
+        quiet = self._quiet
+        observed_before = bool(self._data_observers)
+        self._observer_tuple = tuple(self._observers)
+        self._data_observers = tuple(
+            o for o in self._observers if not any(o is q for q in quiet)
+        )
+        observed = bool(self._data_observers)
+        if observed != observed_before:
+            hook = self.data_consumed if observed else None
+            for component in self._components.values():
+                component._notify_consumed = hook
 
     def component_reconfigured(self, component: ProcessingComponent) -> None:
         """Component callback: a feature attached/detached (or the
@@ -850,8 +932,10 @@ class ProcessingGraph(ComponentObserver):
     def data_consumed(
         self, component: ProcessingComponent, port_name: str, datum: Datum
     ) -> None:
-        """Component callback: fan the consume event out to observers."""
-        for observer in self._observer_tuple:
+        """Component callback: fan the consume event out to the data
+        observers (wired as the components' consume hook only while
+        there are any)."""
+        for observer in self._data_observers:
             observer.data_consumed(component, port_name, datum)
 
     def data_dropped(
@@ -865,7 +949,7 @@ class ProcessingGraph(ComponentObserver):
         hub = self._instrumentation
         if hub is not None:
             hub.datum_dropped(component, port_name, datum, feature_name)
-        for observer in self._observer_tuple:
+        for observer in self._data_observers:
             observer.data_dropped(component, port_name, datum, feature_name)
 
     def _notify_topology(self) -> None:
@@ -874,8 +958,11 @@ class ProcessingGraph(ComponentObserver):
             hub.topology_changed(
                 len(self._components), len(self._connections), self._version
             )
-        for observer in self._observer_tuple:
-            observer.topology_changed(self)
+        observers = self._observer_tuple
+        if observers:
+            self._unannounced = True
+            for observer in observers:
+                observer.topology_changed(self)
 
     # -- display -----------------------------------------------------------------------
 

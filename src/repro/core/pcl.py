@@ -9,7 +9,8 @@ current graph: one channel per single-strained flow from a PCL node (a
 data source or a merge component) to the next PCL node or application.
 Channels are "dynamically created when the PerPos middleware assembles
 the Processing Components" -- here on demand: a topology change only
-marks the decomposition stale, and the next data event or inspection
+marks the decomposition stale, and the graph's next hand-off
+(:meth:`~repro.core.graph.GraphObserver.flow_resumed`) or inspection
 call re-derives it once, however many changes came in between (a graph
 built with N add/connect calls is derived once, not N times).
 Re-derivation preserves the channel objects (their logical-time state
@@ -19,11 +20,13 @@ Derivation walks the graph's adjacency indexes
 (:meth:`~repro.core.graph.ProcessingGraph.upstream_map` /
 ``downstream_map``) rather than issuing per-node edge scans, and the PCL
 registers as the graph's *single* observer for all of its channels.
-Observation is on demand too: a channel with a Channel Feature receives
-every event of its members (through a member-name index) and keeps
-logical time; a channel without one only receives its last member's
-outputs, which it counts.  Translucency thus costs nothing per member
-until a feature uses it.  The PCL itself notes which members hold
+Observation is on demand too: the PCL takes the graph's per-datum
+events only while one of its channels has a Channel Feature, and hands
+each to the channels with a feature that contain its component
+(through a member-name index), which keep logical time.  A channel
+without a feature takes no event: it reads its output count and latest
+output from its last member.  Translucency thus costs nothing per datum
+until a feature uses it.  Each component notes whether it holds
 consumed inputs not yet followed by an output, so a feature attached
 mid-stream is never handed a tree with elements from before the attach
 (see :mod:`repro.core.channel`).
@@ -38,7 +41,7 @@ tells them apart.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.channel import Channel, ChannelFeature
 from repro.core.component import ProcessingComponent
@@ -57,16 +60,12 @@ class ProcessChannelLayer(GraphObserver):
         # The channels in (id, member names) order.
         self._ordered: List[Channel] = []
         # Member name -> channels with a feature whose strand contains
-        # it; last member name -> channels without one.  Rebuilt with the
-        # decomposition and whenever a channel gains its first feature
-        # or loses its last; consulted per data event.
+        # it.  Rebuilt with the decomposition and whenever a channel
+        # gains its first feature or loses its last; consulted per data
+        # event, which the graph hands over only while it is not empty.
         self._observed: Dict[str, Tuple[Channel, ...]] = {}
-        self._counted: Dict[str, Tuple[Channel, ...]] = {}
-        # Components that consumed since their last output (the inputs
-        # their next output will carry).
-        self._holding: Set[str] = set()
         self._stale = True
-        self._unsubscribe = graph.add_observer(self)
+        self._unsubscribe = graph.add_observer(self, data_events=False)
 
     def close(self) -> None:
         """Stop observing the graph and close every channel."""
@@ -77,8 +76,6 @@ class ProcessChannelLayer(GraphObserver):
         self._channels.clear()
         self._ordered = []
         self._observed = {}
-        self._counted = {}
-        self._holding.clear()
         self._stale = False
 
     # -- channel derivation -----------------------------------------------------
@@ -87,7 +84,13 @@ class ProcessChannelLayer(GraphObserver):
         """Graph observation: the decomposition is stale."""
         self._stale = True
 
-    # -- event forwarding (hot path) --------------------------------------------
+    def flow_resumed(self, graph: ProcessingGraph) -> None:
+        """Graph observation: derive before data crosses a changed graph,
+        so a new channel counts from the change."""
+        if self._stale:
+            self._rebuild()
+
+    # -- event forwarding (hot path while a channel observes) ----------------------
 
     def data_consumed(
         self, component: ProcessingComponent, port_name: str, datum: Datum
@@ -95,9 +98,7 @@ class ProcessChannelLayer(GraphObserver):
         """Forward the consume event to the observing channels of the member."""
         if self._stale:
             self._rebuild()
-        name = component.name
-        self._holding.add(name)
-        channels = self._observed.get(name)
+        channels = self._observed.get(component.name)
         if channels is not None:
             for channel in channels:
                 channel.data_consumed(component, port_name, datum)
@@ -105,22 +106,14 @@ class ProcessChannelLayer(GraphObserver):
     def data_produced(
         self, component: ProcessingComponent, datum: Datum
     ) -> None:
-        """Forward the produce event: every observing channel of the
-        member keeps logical time, every counting channel it ends counts."""
+        """Forward the produce event to the observing channels of the
+        member, which keep logical time."""
         if self._stale:
             self._rebuild()
-        name = component.name
-        # Feature-added data ("component#Feature") leaves the inputs held.
-        if "#" not in (datum.producer or ""):
-            self._holding.discard(name)
-        channels = self._observed.get(name)
+        channels = self._observed.get(component.name)
         if channels is not None:
             for channel in channels:
                 channel.data_produced(component, datum)
-        channels = self._counted.get(name)
-        if channels is not None:
-            for channel in channels:
-                channel._count_output(datum)
 
     # -- derivation internals ---------------------------------------------------
 
@@ -151,8 +144,6 @@ class ProcessChannelLayer(GraphObserver):
             )
             for component in graph.components()
         }
-        # Forget components that left the graph.
-        self._holding.intersection_update(is_pcl_node)
         keys = []
         for name, node_is_pcl in is_pcl_node.items():
             if not node_is_pcl:
@@ -197,28 +188,20 @@ class ProcessChannelLayer(GraphObserver):
 
     def _reindex(self) -> None:
         observed: Dict[str, List[Channel]] = {}
-        counted: Dict[str, List[Channel]] = {}
         for channel in self._ordered:
             if channel.observing:
                 for member in channel.members:
                     observed.setdefault(member.name, []).append(channel)
-            else:
-                counted.setdefault(channel.last_component.name, []).append(
-                    channel
-                )
         self._observed = {
             name: tuple(channels) for name, channels in observed.items()
         }
-        self._counted = {
-            name: tuple(channels) for name, channels in counted.items()
-        }
+        self.graph.observe_data(self, bool(observed))
 
     def _features_changed(self, channel: Channel) -> None:
         """A channel gained its first feature or lost its last one."""
         if channel.features:
-            holding = self._holding
             channel._observe(
-                [member.name not in holding for member in channel.members]
+                [not member._holding for member in channel.members]
             )
         else:
             channel._stop_observing()

@@ -22,7 +22,9 @@ an exact float/int within bounds, an exact str) and hands any other
 value to one helper that returns its error.  Two rules hold beyond
 each :class:`FieldSpec`: a NaN never passes a :data:`FLOAT` or
 :data:`TIMESTAMP` field (every comparison with NaN is false, so it
-would pass any range or freshness check), and the format's timestamp
+would pass any range or freshness check), nor does an int beyond the
+float range (JSON decoding reads a 1 followed by 400 zeros as an exact
+int, which no later ``float()`` converts), and the format's timestamp
 field is always required (the gateway cannot place a payload in time
 without it).
 """
@@ -30,6 +32,7 @@ without it).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -43,6 +46,9 @@ ANY = "any"
 FIELD_KINDS = (FLOAT, STRING, TIMESTAMP, ANY)
 
 _MISSING = object()
+
+#: The largest float: a numeric field's int must lie within +-this.
+_FLOAT_MAX = sys.float_info.max
 
 
 class WireFormatError(Exception):
@@ -60,7 +66,10 @@ def parse_timestamp(value: Any) -> float:
     if isinstance(value, bool):
         raise WireFormatError(f"timestamp must be a number or string, got {value!r}")
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise WireFormatError("timestamp is outside the float range") from None
     if isinstance(value, str):
         text = value[:-1] + "+00:00" if value.endswith("Z") else value
         try:
@@ -126,6 +135,8 @@ def _field_error(
         return f"field {name!r}={value!r} below minimum {low}"
     if value > high:
         return f"field {name!r}={value!r} above maximum {high}"
+    if isinstance(value, int) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        return f"field {name!r} is outside the float range"
     return None
 
 
@@ -206,7 +217,8 @@ class WireFormat:
         or NaN, with inclusive range bounds; :data:`STRING` accepts str;
         :data:`TIMESTAMP` accepts epoch numbers directly and parses other
         shapes via :func:`parse_timestamp`, bounds applying to the parsed
-        value, and refuses NaN; :data:`ANY` only checks presence.  The
+        value, and refuses NaN; neither numeric kind takes an int beyond
+        the float range; :data:`ANY` only checks presence.  The
         loop settles the shapes JSON decoding produces with exact
         ``type()`` probes; any other value (int/float/str subclasses,
         ISO strings, out-of-range numbers, wrong types) goes to
@@ -218,7 +230,14 @@ class WireFormat:
             value = get(name, _MISSING)
             value_type = type(value)
             if numeric:
-                if (value_type is float or value_type is int) and low <= value <= high:
+                if value_type is float:
+                    if low <= value <= high:
+                        continue
+                elif (
+                    value_type is int
+                    and low <= value <= high
+                    and -_FLOAT_MAX <= value <= _FLOAT_MAX
+                ):
                     continue
             elif value_type is str:
                 continue

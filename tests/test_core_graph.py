@@ -530,6 +530,118 @@ class TestObservers:
         assert count[0] == 1
 
 
+class Tally(GraphObserver):
+    """Counts every callback, per kind."""
+
+    def __init__(self):
+        self.calls = []
+
+    def data_consumed(self, component, port, datum):
+        self.calls.append("consumed")
+
+    def data_produced(self, component, datum):
+        self.calls.append("produced")
+
+    def data_dropped(self, component, port, datum, feature_name):
+        self.calls.append("dropped")
+
+    def topology_changed(self, graph):
+        self.calls.append("topology")
+
+    def flow_resumed(self, graph):
+        self.calls.append("resumed")
+
+
+class TestDataEventsOnDemand:
+    """Observers subscribed without data events get no per-datum call,
+    and neither does the graph from its components, until one asks."""
+
+    def build(self):
+        graph = ProcessingGraph()
+        source = SourceComponent("s", ("x",))
+        graph.add(source)
+        graph.add(passthrough("f"))
+        graph.add(ApplicationSink("app", ("x",)))
+        graph.connect("s", "f")
+        graph.connect("f", "app")
+        return graph, source
+
+    def test_quiet_observer_gets_topology_and_one_resume_per_change(self):
+        graph, source = self.build()
+        quiet = Tally()
+        graph.add_observer(quiet, data_events=False)
+        source.inject(Datum("x", 1, 0.0))
+        source.inject_batch([Datum("x", 2, 0.0), Datum("x", 3, 0.0)])
+        assert quiet.calls == ["resumed"]
+        assert all(c._notify_consumed is None for c in graph.components())
+        graph.add(passthrough("g"))
+        graph.connect("s", "g")
+        source.inject(Datum("x", 4, 0.0))
+        source.inject(Datum("x", 5, 0.0))
+        assert quiet.calls == ["resumed", "topology", "topology", "resumed"]
+
+    def test_resume_is_announced_before_the_first_event_of_a_change(self):
+        graph, source = self.build()
+        loud = Tally()
+        graph.add_observer(loud)
+        source.inject(Datum("x", 1, 0.0))
+        assert loud.calls[:2] == ["resumed", "produced"]
+        assert "resumed" not in loud.calls[2:]
+        assert loud.calls.count("consumed") == 2
+
+    def test_observe_data_switches_events_and_consume_hooks(self):
+        graph, source = self.build()
+        quiet = Tally()
+        graph.add_observer(quiet, data_events=False)
+        graph.observe_data(quiet, True)
+        assert all(c._notify_consumed is not None for c in graph.components())
+        late = graph.add(passthrough("late"))
+        assert late._notify_consumed is not None
+        source.inject(Datum("x", 1, 0.0))
+        assert quiet.calls.count("produced") == 2
+        assert quiet.calls.count("consumed") == 2
+        graph.observe_data(quiet, False)
+        assert all(c._notify_consumed is None for c in graph.components())
+        del quiet.calls[:]
+        source.inject(Datum("x", 2, 0.0))
+        assert quiet.calls == []
+        graph.remove("late")
+        assert late._notify_consumed is None
+
+    def test_a_quiet_observer_still_gates_plan_compilation(self):
+        graph, _source = self.build()
+        unsubscribe = graph.add_observer(Tally(), data_events=False)
+        assert (
+            graph.plan_snapshot()["fallback_reason"]
+            == "graph-observers-subscribed"
+        )
+        unsubscribe()
+        assert graph.plan_snapshot()["fallback_reason"] is None
+
+    def test_components_record_outputs_and_holding_while_observed(self):
+        graph, source = self.build()
+        sink = graph.component("app")
+        source.inject(Datum("x", 0, 0.0))
+        # Nobody observes, so no channel can read the records.
+        assert (source._outputs, source._latest_output) == (0, None)
+        graph.add_observer(Tally(), data_events=False)
+        source.inject_batch([Datum("x", i, 0.0) for i in range(1, 4)])
+        assert (source._outputs, source._latest_output.payload) == (3, 3)
+        assert graph.component("f")._outputs == 3
+        assert sink._outputs == 0
+        # A sink consumes and never produces: it holds what it took.
+        assert sink._holding and not graph.component("f")._holding
+
+    def test_forwarded_feature_data_leaves_the_inputs_held(self):
+        graph, source = self.build()
+        graph.add_observer(Tally(), data_events=False)
+        relay = graph.component("f")
+        source.inject(Datum("x", 1, 0.0, producer="s#Feature"))
+        assert relay._holding  # it only passed feature-added data on
+        source.inject(Datum("x", 2, 0.0))
+        assert not relay._holding
+
+
 class TestBatchDispatch:
     def build(self):
         graph = ProcessingGraph()

@@ -134,6 +134,10 @@ class TestParseTimestamp:
         with pytest.raises(WireFormatError):
             parse_timestamp(bad)
 
+    def test_int_beyond_float_range_raises(self):
+        with pytest.raises(WireFormatError, match="outside the float range"):
+            parse_timestamp(10**400)
+
 
 class TestWireFormat:
     def test_field_spec_rejects_unknown_kind(self):
@@ -508,6 +512,23 @@ class TestGatewayPipeline:
         ]
         assert records[0].stage == "freshness"
         assert gateway.adapter("phone_tracker_v1").rejected == 4
+
+    def test_int_beyond_float_range_is_rejected_at_schema(self):
+        # json.loads reads a long digit string as an exact int; no
+        # float() converts one beyond the float range, so it must not
+        # pass the schema and fail later, uncounted on its adapter.
+        gateway, _, _, _ = make_gateway()
+        huge = json.loads("1" + "0" * 400)
+        assert type(huge) is int
+        for field in ("timestamp", "alt_m"):
+            assert gateway.submit(payload(**{field: huge})) == REJECTED
+        records = gateway.dlq.records()
+        assert [(r.stage, r.reason) for r in records] == [
+            ("schema", "field 'timestamp' is outside the float range"),
+            ("schema", "field 'alt_m' is outside the float range"),
+        ]
+        assert gateway.adapter("phone_tracker_v1").rejected == 2
+        assert gateway.rejected == 2
 
     def test_missing_optional_timestamp_is_rejected_at_schema(self):
         # The gateway cannot place a payload in time without its

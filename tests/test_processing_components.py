@@ -74,6 +74,42 @@ class TestParser:
         assert sink.received == []
         assert parser.dropped_lines == 0
 
+    @pytest.mark.parametrize("first, second", [("\n", "\r\n"), ("\r", "\n")])
+    def test_each_line_ends_at_its_earliest_terminator(self, first, second):
+        # An LF-terminated line before a CRLF-terminated one used to run
+        # into it: one line failing its checksum instead of two.
+        source, parser, sink = self.build()
+        stream = gga(0.0).encode() + first + gga(1.0).encode() + second
+        source.inject(Datum(Kind.NMEA_RAW, stream, 0.0))
+        assert [d.payload.time_s for d in sink.received] == [0.0, 1.0]
+        assert (parser.dropped_lines, parser.pending_bytes()) == (0, 0)
+
+    def test_repeated_untimed_line_is_decoded_once(self):
+        source, parser, sink = self.build()
+        gsa = GsaSentence(3, (1, 2, 3, 4), 2.0, 1.0, 1.7).encode() + "\r\n"
+        stream = gsa + gga(0.0).encode() + "\r\n" + gsa + gga(1.0).encode()
+        source.inject(Datum(Kind.NMEA_RAW, stream + "\r\n", 0.0))
+        payloads = [d.payload for d in sink.received]
+        assert [p.sentence_type for p in payloads] == ["GSA", "GGA"] * 2
+        assert payloads[0] is payloads[2]  # one decode, shared value
+        assert list(parser._memo) == [gsa.strip()]  # timed lines never kept
+
+    def test_memo_is_bounded_and_drops_the_oldest(self):
+        source, parser, _sink = self.build()
+        parser.memo_limit = 3
+        lines = [
+            GsaSentence(3, (i,), 2.0, 1.0, 1.7).encode() for i in range(1, 6)
+        ]
+        source.inject(Datum(Kind.NMEA_RAW, "\r\n".join(lines) + "\r\n", 0.0))
+        assert list(parser._memo) == lines[2:]
+
+    def test_memo_is_per_parser(self):
+        _, first, _ = self.build()
+        _, second, _ = self.build()
+        line = GsaSentence(3, (1,), 2.0, 1.0, 1.7).encode() + "\r\n"
+        first.process("in", Datum(Kind.NMEA_RAW, line, 0.0))
+        assert len(first._memo) == 1 and second._memo == {}
+
 
 class TestInterpreter:
     def build(self):

@@ -4,13 +4,24 @@ import statistics
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.data import Datum, Kind
 from repro.geo.wgs84 import Wgs84Position
+from repro.processing.parser import MEMO_TYPES, NmeaParserComponent
 from repro.sensors.gps import (
     GpsReceiver,
     OPEN_SKY,
     constant_environment,
 )
-from repro.sensors.nmea import GgaSentence, NmeaError, parse_sentence
+from repro.sensors.nmea import (
+    GgaSentence,
+    GsaSentence,
+    GsvSatelliteInfo,
+    GsvSentence,
+    NmeaError,
+    RmcSentence,
+    VtgSentence,
+    parse_sentence,
+)
 from repro.sensors.trajectory import (
     StationaryTrajectory,
     Waypoint,
@@ -123,3 +134,96 @@ class TestNmeaProperties:
             parse_sentence(line)
         except NmeaError:
             pass
+
+
+def _reference_lines(stream):
+    """The stream's complete lines (each ending at its earliest CR or
+    LF) and the unterminated rest, one character at a time."""
+    lines, current = [], []
+    for char in stream:
+        if char in "\r\n":
+            lines.append("".join(current))
+            current = []
+        else:
+            current.append(char)
+    return lines, "".join(current)
+
+
+#: A few lines of each of the five types; streams draw from it with
+#: repetition, as a receiver repeats its satellites and DOPs.
+SENTENCE_POOL = (
+    GgaSentence(1.0, 56.17, 10.19, 1, 8, 1.2, 40.0).encode(),
+    GgaSentence(2.0, None, None, 0, 3, None, None).encode(),
+    RmcSentence(1.0, True, 56.17, 10.19, 0.5, 90.0).encode(),
+    RmcSentence(2.0, False, None, None, 0.0, 0.0).encode(),
+    GsaSentence(3, (1, 4, 7, 9), 2.1, 1.2, 1.7).encode(),
+    GsaSentence(1, (), None, None, None).encode(),
+    GsvSentence(2, 1, 6, (GsvSatelliteInfo(1, 40, 120, 38),)).encode(),
+    GsvSentence(
+        2,
+        2,
+        6,
+        (GsvSatelliteInfo(4, 10, 300, None), GsvSatelliteInfo(7, 5, 10, 20)),
+    ).encode(),
+    VtgSentence(90.0, 0.5).encode(),
+    VtgSentence(180.0, 2.25).encode(),
+)
+
+
+def _corrupt(line, index):
+    """Flip one character (as serial corruption does)."""
+    index %= len(line)
+    return line[:index] + chr(ord(line[index]) ^ 0x01) + line[index + 1 :]
+
+
+_lines = st.one_of(
+    st.sampled_from(SENTENCE_POOL),
+    st.builds(_corrupt, st.sampled_from(SENTENCE_POOL), st.integers(0, 200)),
+    st.text(alphabet="$GPSAVT*,.0123456789 \t", max_size=16),
+)
+_terminators = st.sampled_from(["\r\n", "\n", "\r", "\r\n\r\n", "\n\r\n"])
+
+
+class TestParserMemoProperties:
+    """The memoized parser gives what per-line ``parse_sentence`` gives."""
+
+    @given(
+        st.lists(st.tuples(_lines, _terminators), max_size=30),
+        st.text(alphabet="$GPGSV,0123*", max_size=10),
+        st.lists(st.integers(min_value=1, max_value=90), max_size=40),
+        st.sampled_from([1, 2, 3, 64]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_line_decoding(self, lines, tail, cuts, limit):
+        stream = "".join(line + end for line, end in lines) + tail
+        expected, dropped = [], 0
+        complete, rest = _reference_lines(stream)
+        for line in complete:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                expected.append(parse_sentence(line))
+            except NmeaError:
+                dropped += 1
+
+        parser = NmeaParserComponent()
+        parser.memo_limit = limit
+        produced = []
+        parser.produce = produced.append
+        fragments, start = [], 0
+        for size in cuts:
+            fragments.append(stream[start : start + size])
+            start += size
+        fragments.append(stream[start:])
+        for fragment in fragments:
+            parser.process("in", Datum(Kind.NMEA_RAW, fragment, 0.0))
+            memo = parser._memo
+            assert len(memo) <= limit
+            for line, sentence in memo.items():
+                assert sentence.sentence_type in MEMO_TYPES
+                assert parse_sentence(line) == sentence
+
+        assert [datum.payload for datum in produced] == expected
+        assert parser.dropped_lines == dropped
+        assert parser.pending_bytes() == len(rest)
