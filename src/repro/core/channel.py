@@ -30,7 +30,6 @@ next output only to withheld trees.
 from __future__ import annotations
 
 import sys
-from itertools import islice
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -59,11 +58,6 @@ CF = TypeVar("CF", bound="ChannelFeature")
 #: bookkeeping began: no element of that layer is complete until the
 #: member's next output has flushed them.
 _UNTRUSTED = sys.maxsize
-
-#: How many of a layer's newest elements ``Channel._logical_time_of``
-#: searches.  Batches up to this size get exact trees; an input a
-#: consume feature replaced is never found and costs this many checks.
-_LOOKUP_DEPTH = 256
 
 
 class ChannelFeature:
@@ -374,21 +368,9 @@ class Channel(GraphObserver):
         producer = datum.producer
         if producer != upstream and producer.split("#", 1)[0] != upstream:
             return
-        self._pending[index].append(self._logical_time_of(index - 1, datum))
-
-    def _logical_time_of(self, layer: int, datum: Datum) -> int:
-        """The logical time ``layer`` gave ``datum``.
-
-        A batch hand-off announces all of its outputs before the
-        consumer takes the first, so the layer's latest time belongs to
-        the batch's last datum; the input is looked up by identity among
-        the layer's newest elements instead.  An input a consume feature
-        replaced is not found and takes the latest time.
-        """
-        for element in islice(reversed(self._history[layer]), _LOOKUP_DEPTH):
-            if element.datum is datum:
-                return element.logical_time
-        return self._counters[layer]
+        # While a channel observes, the graph hands data off one datum
+        # at a time, so the input is its upstream layer's latest output.
+        self._pending[index].append(self._counters[index - 1])
 
     def data_produced(
         self, component: ProcessingComponent, datum: Datum
@@ -401,9 +383,7 @@ class Channel(GraphObserver):
         counters[index] += 1
         logical_time = counters[index]
         pending = self._pending[index] if index else None
-        # A mixed-kind batch reaches a consumer one kind group at a
-        # time, so pending logical times need not arrive in order.
-        time_range = (min(pending), max(pending)) if pending else None
+        time_range = (pending[0], pending[-1]) if pending else None
         element = DataTreeElement(
             datum=datum,
             logical_time=logical_time,

@@ -120,7 +120,9 @@ class ProcessingComponent(abc.ABC):
         self.output_port = OutputPort(tuple(output.capabilities))
         self._features: List[ComponentFeature] = []
         # The graph's hand-off (instrument, notify observers, route),
-        # wired at attach time; None while detached.
+        # wired at attach time and rewired to go one datum at a time
+        # while some graph observer takes per-datum events; None while
+        # detached.
         self._deliver_batch: Optional[Callable[[List[Datum]], None]] = None
         self._observer: Optional["ComponentObserver"] = None
         # The graph's consume-event fan-out, wired only while some graph

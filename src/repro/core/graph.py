@@ -472,12 +472,13 @@ class ProcessingGraph(ComponentObserver):
             )
         self._components[component.name] = component
         component._observer = self
-        component._notify_consumed = (
-            self.data_consumed if self._data_observers else None
-        )
+        observed = bool(self._data_observers)
+        component._notify_consumed = self.data_consumed if observed else None
         # partial() dispatches without an extra interpreter frame per
         # produced batch (vs. a capturing lambda).
-        component._deliver_batch = partial(self._dispatch_batch, component)
+        component._deliver_batch = partial(
+            self._dispatch_each if observed else self._dispatch_batch, component
+        )
         self._invalidate()
         self._notify_topology()
         return component
@@ -771,21 +772,19 @@ class ProcessingGraph(ComponentObserver):
     ) -> None:
         """Take produced datums from a component into the graph.
 
-        The graph's one hand-off, wired as each component's
-        ``_deliver_batch`` (a produced datum is a batch of one).
-        Instrumentation runs first, so observers and consumers all see
-        the (possibly trace-annotated) datums the application will
-        eventually receive; instrumentation and observer events stay
-        per datum (traces, PCL logical time), and the routing itself is
-        resolved once per batch.  While an observer is subscribed, the
-        component's output count, latest output and held-inputs flag are
-        recorded here, before routing, for channels to read.
+        The graph's hand-off, wired as each component's
+        ``_deliver_batch`` while no observer takes per-datum events (a
+        produced datum is a batch of one).  Instrumentation runs first,
+        once per hand-off, so observers and consumers all see the
+        (possibly trace-annotated) datums the application will
+        eventually receive; the routing is resolved once per kind
+        group.  While an observer is subscribed, the component's output
+        count, latest output and held-inputs flag are recorded here,
+        before routing, for channels to read.
         """
         hub = self._instrumentation
         if hub is not None:
-            dispatched = hub.datum_dispatched
-            name = component.name
-            datums = [dispatched(name, datum) for datum in datums]
+            datums = hub.dispatched(component.name, datums)
         if self._observer_tuple:
             if self._unannounced or self._data_observers:
                 self._watch_dispatch(component, datums)
@@ -799,6 +798,25 @@ class ProcessingGraph(ComponentObserver):
                         component._holding = False
                         break
         self.route_batch(component.name, datums)
+
+    def _dispatch_each(
+        self, component: ProcessingComponent, datums: List[Datum]
+    ) -> None:
+        """The hand-off while an observer takes per-datum events.
+
+        Each datum crosses :meth:`_dispatch_batch` alone, so every
+        consumer takes it, and finishes with it, before the next one
+        leaves: an observed graph moves data exactly as if it had been
+        produced one datum at a time, which is what gives each Channel
+        Feature the Fig. 4 tree of each output (a consumed input's
+        logical time is its layer's latest).  Wired in place of
+        :meth:`_dispatch_batch` by :meth:`add` and
+        :meth:`_refresh_observers`, so the unobserved hand-off pays
+        nothing for it.
+        """
+        dispatch = self._dispatch_batch
+        for datum in datums:
+            dispatch(component, [datum])
 
     def _watch_dispatch(
         self, component: ProcessingComponent, datums: List[Datum]
@@ -834,7 +852,9 @@ class ProcessingGraph(ComponentObserver):
         stage-by-stage -- across fan-out branches the interleaving
         differs from routing the datums one at a time.  Sink outputs
         and trace hops are the same multiset either way (pinned by
-        ``tests/test_property_runtime.py``).
+        ``tests/test_property_runtime.py``).  While an observer takes
+        per-datum events, every hand-off is a batch of one, so the
+        interleaving is exactly that of one datum at a time.
         """
         if not datums:
             return
@@ -901,6 +921,8 @@ class ProcessingGraph(ComponentObserver):
 
         While no observer takes them, a hand-off makes no observer call
         and a component's consume body makes no call into the graph.
+        While one does, every hand-off goes one datum at a time (see
+        :meth:`_dispatch_each`).
         """
         quiet = [o for o in self._quiet if o is not observer]
         if not enabled:
@@ -909,8 +931,8 @@ class ProcessingGraph(ComponentObserver):
         self._refresh_observers()
 
     def _refresh_observers(self) -> None:
-        """Rebuild the fan-out snapshots and the components' consume
-        hooks after the observer set changed."""
+        """Rebuild the fan-out snapshots, and the components' consume
+        hooks and hand-offs, after the observer set changed."""
         quiet = self._quiet
         observed_before = bool(self._data_observers)
         self._observer_tuple = tuple(self._observers)
@@ -920,8 +942,10 @@ class ProcessingGraph(ComponentObserver):
         observed = bool(self._data_observers)
         if observed != observed_before:
             hook = self.data_consumed if observed else None
+            dispatch = self._dispatch_each if observed else self._dispatch_batch
             for component in self._components.values():
                 component._notify_consumed = hook
+                component._deliver_batch = partial(dispatch, component)
 
     def component_reconfigured(self, component: ProcessingComponent) -> None:
         """Component callback: a feature attached/detached (or the

@@ -6,8 +6,10 @@ is installed with ``graph.set_instrumentation(hub)`` (or, one level up,
 ``PerPos.enable_observability()``), and the graph composes
 :meth:`ObservabilityHub.deliver_batch` into every route it memoizes;
 while no hub is installed the graph pays exactly one ``is None`` check
-per produced datum, which is what keeps the disabled default within the
+per hand-off, which is what keeps the disabled default within the
 overhead budget measured by ``benchmarks/bench_overhead_ablation.py``.
+While one is installed, the graph calls :meth:`ObservabilityHub.dispatched`
+once per hand-off, whatever the batch's size.
 
 Per event the hub records:
 
@@ -109,24 +111,34 @@ class ObservabilityHub:
 
     # -- graph hooks (hot path) --------------------------------------------
 
-    def datum_dispatched(self, producer: str, datum: Datum) -> Datum:
-        """A component handed ``datum`` to the graph for routing."""
+    def dispatched(self, producer: str, datums: List[Datum]) -> List[Datum]:
+        """A component handed ``datums`` to the graph for routing.
+
+        One call per hand-off: ``items_out`` advances by the batch's
+        size, and while tracing each datum's trace is extended with the
+        producing component (the returned list carries the traced
+        copies; without tracing it is ``datums`` itself).
+        """
         counter = self._out_counters.get(producer)
         if counter is None:
             counter = self._out_counters[producer] = self.registry.counter(
                 "items_out", component=producer
             )
-        counter.inc()
-        if self.tracing:
-            hop = TraceHop(producer, self._time(), datum.kind)
-            parent = self._context[-1] if self._context else None
+        counter.inc(len(datums))
+        if not self.tracing:
+            return datums
+        time_fn = self._time
+        parent = self._context[-1] if self._context else None
+        traced: List[Datum] = []
+        for datum in datums:
+            hop = TraceHop(producer, time_fn(), datum.kind)
             trace = (
                 parent.extended(hop)
                 if parent is not None
                 else FlowTrace((hop,))
             )
-            datum = with_trace(datum, trace)
-        return datum
+            traced.append(with_trace(datum, trace))
+        return traced
 
     def _delivery_instruments(self, name: str) -> Tuple[Any, Any, Any]:
         """``(items_in, errors, hop_latency_s)`` for one consumer."""

@@ -13,10 +13,12 @@ One **lane** per tracked target (or per target x source): an
 :class:`~repro.runtime.queues.IngestionQueue` plus the
 :class:`~repro.core.component.SourceComponent` its datums enter through.
 Producers call :meth:`PositioningEngine.submit`; nothing touches the
-graph until the scheduler's next round, when each lane's pending batch
-crosses ``source.inject_batch`` -- route resolution amortised per batch,
-per-route FIFO order preserved, supervision/observability semantics
-intact (see :meth:`~repro.core.graph.ProcessingGraph.route_batch`).
+graph until the scheduler's next round, when the lanes' pending batches
+cross ``source.inject_batch`` -- one batch per run of consecutive
+planned lanes that share a source, so route resolution is amortised
+over every lane feeding that source, per-lane FIFO order is preserved,
+and supervision/observability semantics stay intact (see
+:meth:`~repro.core.graph.ProcessingGraph.route_batch`).
 
 The engine is itself translucent: ``graph.set_engine`` makes lane
 policies, depths, and drop counters reachable from
@@ -250,10 +252,22 @@ class PositioningEngine:
     def drain_round(self) -> int:
         """Run one scheduler round; returns the number of datums routed.
 
-        Each planned lane drains up to its quantum and the batch crosses
-        the graph through ``source.inject_batch`` -- the batched
-        dispatch path -- before the next lane runs, so per-lane FIFO
-        order holds and fairness is exactly the scheduler's plan.
+        Each planned lane drains up to its quantum, in plan order.
+        Consecutive lanes that enter the graph at the same source form
+        a *run*: their batches are concatenated in plan order and cross
+        the graph in one ``source.inject_batch`` -- the batched dispatch
+        path -- before the next lane is drained.  Per-lane FIFO order,
+        the order datums enter the graph, each lane's ``batches`` count
+        and the journaled per-lane counts are those of injecting lane
+        by lane; fairness is exactly the scheduler's plan.
+
+        Failure unit: without a supervisor, an exception escaping the
+        graph loses the run in flight (every datum of it has left its
+        lane) and propagates; the lanes the round had not reached stay
+        queued.  ``rounds`` and ``drained_total`` advance either way, so
+        ``drained_total`` always equals what the lanes gave up.  With a
+        supervisor installed, each datum is delivered under isolation
+        and a failure costs only that datum.
         """
         return self._round(self.scheduler.plan(self._lane_list))
 
@@ -263,10 +277,10 @@ class PositioningEngine:
         ``lane_counts`` is the ``[(target_id, count), ...]`` list a
         previous run's :meth:`drain_round` journaled: exactly ``count``
         datums are popped from each named lane in the recorded order
-        and injected through the batched dispatch path.  This
-        reproduces the original routing independent of the *current*
-        scheduler cursor, so restore does not have to reconstruct
-        scheduler internals.  A lane untracked later in the journal is
+        and injected through the batched dispatch path, in the same
+        runs as :meth:`drain_round`.  This reproduces the original
+        routing independent of the *current* scheduler cursor, so
+        restore does not have to reconstruct scheduler internals.  A lane untracked later in the journal is
         skipped: the original round's effects on it are unreproducible
         and irrelevant (its sink history died with it).  Restore
         suspends the journal, so the replayed round is not journaled
@@ -283,22 +297,38 @@ class PositioningEngine:
         """Run one round over ``plan``'s ``(lane, count)`` pairs.
 
         Drains up to ``count`` datums from each lane in order, injects
-        each non-empty batch, and journals the per-lane counts.
+        each run of same-source batches once, and journals the per-lane
+        counts (see :meth:`drain_round`).
         """
         total = 0
         journal = self.journal
         lane_counts: List[Any] = []
-        for lane, count in plan:
-            batch = lane.queue.drain(count)
-            if not batch:
-                continue
-            if journal is not None:
-                lane_counts.append((lane.target_id, len(batch)))
-            lane.source.inject_batch(batch)
-            lane.batches += 1
-            total += len(batch)
-        self.rounds += 1
-        self.drained_total += total
+        # The run in flight: the source its lanes share, and their datums.
+        source: Any = None
+        run: List[Datum] = []
+        try:
+            for lane, count in plan:
+                if lane.source is not source:
+                    if run:
+                        source.inject_batch(run)
+                        run = []
+                    source = lane.source
+                batch = lane.queue.drain(count)
+                if not batch:
+                    continue
+                if journal is not None:
+                    lane_counts.append((lane.target_id, len(batch)))
+                lane.batches += 1
+                total += len(batch)
+                if run:
+                    run += batch
+                else:
+                    run = batch
+            if run:
+                source.inject_batch(run)
+        finally:
+            self.rounds += 1
+            self.drained_total += total
         if journal is not None and lane_counts:
             journal.record_drain(lane_counts)
         return total

@@ -14,7 +14,7 @@ on any execution mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.component import InputPort, OutputPort, ProcessingComponent
 from repro.core.data import Datum
@@ -55,9 +55,10 @@ class GeofenceComponent(ProcessingComponent):
     Non-GPS datums pass through untouched.  For each GPS fix the
     component tracks per-(target, rule) inside/outside state; a
     transition matching the rule's trigger appends a record to a bounded
-    alert ring (newest last) and produces a ``geo-alert`` datum whose
-    payload is ``(rule, target, transition, tick)``.  The ring is the
-    inspection surface; the datums are the application surface.
+    alert ring (newest last) and emits a ``geo-alert`` datum, ahead of
+    the fix, whose payload is ``(rule, target, transition, tick)``.  The
+    ring is the inspection surface; the datums are the application
+    surface.
     """
 
     def __init__(
@@ -77,22 +78,32 @@ class GeofenceComponent(ProcessingComponent):
         self._alerts: List[Dict[str, Any]] = []
         self.alerts_raised = 0
 
-    def process(self, port_name: str, datum: Datum) -> None:
-        if datum.kind == GPS_KIND and self.rules:
-            target = datum.attributes.get("target", "")
-            x_m, y_m = datum.payload[0], datum.payload[1]
-            for rule in self.rules:
-                inside = rule.contains(x_m, y_m)
-                key = (target, rule.name)
-                was_inside = self._inside.get(key, False)
-                self._inside[key] = inside
-                if inside == was_inside:
-                    continue
-                transition = ENTER if inside else EXIT
-                if rule.trigger != BOTH and rule.trigger != transition:
-                    continue
-                self._raise_alert(rule, target, transition, datum)
-        self.produce(datum)
+    def process(self, port_name: str, datum: Datum) -> Union[Datum, List[Datum]]:
+        """The datum's alerts, if any, then the datum itself.
+
+        Returned rather than produced, so a batch's outputs leave the
+        geofence together, in one hand-off after the batch.
+        """
+        if datum.kind != GPS_KIND or not self.rules:
+            return datum
+        target = datum.attributes.get("target", "")
+        x_m, y_m = datum.payload[0], datum.payload[1]
+        out: List[Datum] = []
+        for rule in self.rules:
+            inside = rule.contains(x_m, y_m)
+            key = (target, rule.name)
+            was_inside = self._inside.get(key, False)
+            self._inside[key] = inside
+            if inside == was_inside:
+                continue
+            transition = ENTER if inside else EXIT
+            if rule.trigger != BOTH and rule.trigger != transition:
+                continue
+            out.append(self._raise_alert(rule, target, transition, datum))
+        if not out:
+            return datum
+        out.append(datum)
+        return out
 
     def _raise_alert(
         self,
@@ -100,7 +111,8 @@ class GeofenceComponent(ProcessingComponent):
         target: str,
         transition: str,
         datum: Datum,
-    ) -> None:
+    ) -> Datum:
+        """Record one alert in the ring; returns its ``geo-alert`` datum."""
         tick = datum.attributes.get("tick")
         self.alerts_raised += 1
         self._alerts.append(
@@ -114,13 +126,11 @@ class GeofenceComponent(ProcessingComponent):
         )
         if len(self._alerts) > self._ring_limit:
             del self._alerts[: len(self._alerts) - self._ring_limit]
-        self.produce(
-            Datum(
-                kind=ALERT_KIND,
-                payload=(rule.name, target, transition, tick),
-                timestamp=datum.timestamp,
-                producer=self.name,
-            )
+        return Datum(
+            kind=ALERT_KIND,
+            payload=(rule.name, target, transition, tick),
+            timestamp=datum.timestamp,
+            producer=self.name,
         )
 
     # -- inspection (PSL reflective surface) ---------------------------------

@@ -13,6 +13,7 @@ from repro.core.component import (
     SourceComponent,
 )
 from repro.core.data import Datum
+from repro.core.features import ComponentFeature
 from repro.core.graph import GraphError, GraphObserver, ProcessingGraph
 from repro.core.pcl import ProcessChannelLayer
 from repro.core.report import infrastructure_snapshot
@@ -21,6 +22,7 @@ from repro.model.demo import demo_building, demo_radio_environment
 from repro.processing.interpreter import NmeaInterpreterComponent
 from repro.processing.parser import NmeaParserComponent
 from repro.processing.pipelines import build_room_app
+from repro.runtime import PositioningEngine, RoundRobinScheduler
 from repro.sensors.gps import INDOOR, OPEN_SKY, GpsReceiver
 from repro.sensors.trajectory import Waypoint, WaypointTrajectory
 from repro.sensors.wifi import WifiScanner
@@ -478,8 +480,8 @@ class TestMidStreamAttach:
 class TestBatchedDataTrees:
     """Fig. 4 trees do not depend on how a strand's input is batched.
 
-    Every engine lane drains through ``inject_batch``; a batch hand-off
-    announces all its outputs before the consumer takes the first.
+    Every engine lane drains through ``inject_batch``; while a Channel
+    Feature observes, the graph hands each batch on one datum at a time.
     """
 
     @staticmethod
@@ -487,10 +489,13 @@ class TestBatchedDataTrees:
         return [[e.datum.payload for e in tree.layer(i)] for i in range(tree.depth)]
 
     @staticmethod
-    def gps_trees(chunk):
+    def gps_trees(chunk, parser_feature=None):
         """The GPS strand's trees, its fragments fed ``chunk`` at a time
-        (one at a time through ``inject`` when ``chunk`` is 1)."""
+        (one at a time through ``inject`` when ``chunk`` is 1), with
+        ``parser_feature`` attached to the parser if given."""
         graph, gps, fragments = TestMidStreamAttach().build()
+        if parser_feature is not None:
+            graph.component("parser").attach_feature(parser_feature())
         recorder = TreeRecorder()
         ProcessChannelLayer(graph).channel("gps->app").attach_feature(recorder)
         datums = [
@@ -509,6 +514,72 @@ class TestBatchedDataTrees:
         expected = self.gps_trees(1)
         assert len(expected) > 5
         assert self.gps_trees(chunk) == expected
+
+    @pytest.mark.parametrize("chunk", [2, 3, 5, 17])
+    def test_a_replacing_consume_feature_keeps_the_per_datum_trees(self, chunk):
+        """The parser consumes a copy of each fragment, not the datum the
+        graph delivered; each input still lands in its own tree."""
+
+        class Replacing(ComponentFeature):
+            def consume(self, datum):
+                return datum.annotated(seen=True)
+
+        expected = self.gps_trees(1, Replacing)
+        assert len(expected) > 5
+        assert self.gps_trees(chunk, Replacing) == expected
+
+    @staticmethod
+    def lane_round_trees(lanes, coalesced, returns):
+        """src -> double -> app under a Channel Feature, fed two datums
+        per lane: through one engine round (every lane enters at
+        ``src``, so the round is one batch) or lane by lane.  ``double``
+        returns its result or passes it to ``produce``."""
+
+        class Double(ProcessingComponent):
+            def __init__(self):
+                super().__init__(
+                    "double", (InputPort("in", ("x",)),), OutputPort(("x",))
+                )
+
+            def process(self, port_name, datum):
+                result = Datum("x", datum.payload * 2, 0.0)
+                if returns:
+                    return result
+                self.produce(result)
+
+        graph = ProcessingGraph()
+        graph.add(SourceComponent("src", ("x",)))
+        graph.add(Double())
+        graph.add(ApplicationSink("app", ("x",)))
+        graph.connect("src", "double")
+        graph.connect("double", "app")
+        recorder = TreeRecorder()
+        ProcessChannelLayer(graph).channel("src->app").attach_feature(recorder)
+        feeds = [
+            [Datum("x", 2 * lane + index, 0.0) for index in range(2)]
+            for lane in range(lanes)
+        ]
+        if coalesced:
+            engine = PositioningEngine(
+                graph, scheduler=RoundRobinScheduler(quantum=2), stamp_targets=False
+            )
+            for lane, feed in enumerate(feeds):
+                engine.track(f"t{lane}", "src")
+                for datum in feed:
+                    engine.submit(f"t{lane}", datum)
+            assert engine.drain_round() == 2 * lanes
+        else:
+            for feed in feeds:
+                graph.component("src").inject_batch(feed)
+        return [TestBatchedDataTrees.payload_layers(tree) for tree in recorder.trees]
+
+    @pytest.mark.parametrize("returns", [False, True], ids=["produces", "returns"])
+    @pytest.mark.parametrize("lanes", [300, 600])
+    def test_a_coalesced_round_gives_the_per_lane_trees(self, lanes, returns):
+        expected = self.lane_round_trees(lanes, coalesced=False, returns=returns)
+        assert len(expected) == 2 * lanes
+        assert expected[-1] == [[2 * lanes - 1], [4 * lanes - 2]]
+        assert self.lane_round_trees(lanes, coalesced=True, returns=returns) == expected
 
     @staticmethod
     def arithmetic_trees(batched):
@@ -540,9 +611,10 @@ class TestBatchedDataTrees:
                 source.inject(datum)
         return [TestBatchedDataTrees.payload_layers(tree) for tree in recorder.trees]
 
-    def test_tree_spans_inputs_taken_one_kind_group_at_a_time(self):
-        """A mixed-kind batch reaches a consumer one kind group at a
-        time, so the inputs behind one output arrive out of order."""
+    @staticmethod
+    def triples_graph():
+        """src (kinds x, y) -> triples -> app, where ``triples`` produces
+        the payloads of every three inputs it consumed, in their order."""
 
         class Triples(ProcessingComponent):
             def __init__(self):
@@ -563,13 +635,29 @@ class TestBatchedDataTrees:
         graph.add(ApplicationSink("app", ("x",)))
         graph.connect("src", "triples")
         graph.connect("triples", "app")
+        return graph
+
+    @staticmethod
+    def mixed_batch():
+        return [Datum("x", 0, 0.0), Datum("y", 1, 0.0), Datum("x", 2, 0.0)]
+
+    def test_observed_batch_reaches_a_consumer_one_datum_at_a_time(self):
+        """Under a Channel Feature every hand-off is a batch of one, so a
+        mixed-kind batch reaches the consumer in submission order."""
+        graph = self.triples_graph()
         recorder = TreeRecorder()
         ProcessChannelLayer(graph).channel("src->app").attach_feature(recorder)
-        graph.component("src").inject_batch(
-            [Datum("x", 0, 0.0), Datum("y", 1, 0.0), Datum("x", 2, 0.0)]
-        )
+        graph.component("src").inject_batch(self.mixed_batch())
         [tree] = recorder.trees
-        assert self.payload_layers(tree) == [[0, 1, 2], [(0, 2, 1)]]
+        assert self.payload_layers(tree) == [[0, 1, 2], [(0, 1, 2)]]
+
+    def test_unobserved_batch_reaches_a_consumer_one_kind_group_at_a_time(self):
+        """Without an observer the batch stays whole: routing takes it one
+        kind group at a time."""
+        graph = self.triples_graph()
+        ProcessChannelLayer(graph)  # subscribed, but no feature observes
+        graph.component("src").inject_batch(self.mixed_batch())
+        assert [d.payload for d in graph.component("app").received] == [(0, 2, 1)]
 
     def test_per_datum_function_component_trees(self):
         assert self.arithmetic_trees(batched=False) == [
@@ -578,13 +666,6 @@ class TestBatchedDataTrees:
             [[2], [4], [5]],
         ]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "a FunctionComponent consumes its whole batch before its results"
-            " leave, so its first output's tree claims every input"
-        ),
-    )
     def test_batched_function_component_trees_match_per_datum(self):
         assert self.arithmetic_trees(batched=True) == self.arithmetic_trees(
             batched=False

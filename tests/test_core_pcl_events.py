@@ -224,3 +224,42 @@ class TestSplice:
         # The untouched strand kept its channel, which kept counting.
         assert pcl.channel("wifi->fusion") is wifi
         assert wifi.stats()["outputs_delivered"] > wifi_twin._counters[-1] > 0
+
+
+class TestFeaturesOnEveryChannel:
+    """A feature on every channel makes every hand-off a batch of one;
+    perfbench's programs must deliver the same sink multisets."""
+
+    @staticmethod
+    def replay(program_class, inputs, observe, **options):
+        program = program_class(inputs, **options)
+        pcl = program.middleware.pcl
+        recorders = []
+        if observe:
+            for channel in pcl.channels():
+                recorder = Recorder()
+                channel.attach_feature(recorder)
+                recorders.append((channel, recorder))
+        rows = program.replay(inputs).rows()
+        return rows, recorders
+
+    @pytest.mark.parametrize(
+        "workload, channels", [("room_process", 48), ("edge_single", 2)]
+    )
+    def test_sink_multisets_equal_with_and_without_features(
+        self, workload, channels
+    ):
+        from perfbench import inputs, programs
+
+        if workload == "room_process":
+            data, program_class = inputs.room_inputs(1), programs.RoomProgram
+        else:
+            data, program_class = inputs.edge_inputs(1), programs.EdgeProgram
+        expected, _ = self.replay(program_class, data, observe=False)
+        rows, recorders = self.replay(program_class, data, observe=True)
+        assert len(recorders) == channels
+        # Attached before any data: one tree per channel output.
+        for channel, recorder in recorders:
+            assert recorder.count == channel.stats()["outputs_delivered"]
+        assert sum(recorder.count for _, recorder in recorders) > 0
+        assert rows == expected

@@ -11,6 +11,7 @@ closed-loop behaviour, and the middleware surfaces (``enable_scenario``,
 
 import pytest
 
+from repro.core.component import ApplicationSink
 from repro.core.middleware import PerPos
 from repro.core.report import infrastructure_snapshot, render_report
 from repro.energy.entracked import PowerStrategyFeature
@@ -308,6 +309,39 @@ class TestGeofence:
         app = graph.component("city-app")
         assert all(d.kind in SENSOR_KINDS for d in app.received)
         assert len(app.received) == 2
+
+    def test_a_rounds_outputs_leave_in_one_hand_off_alerts_first(self):
+        rules = (
+            GeofenceRule("a", 100.0, 100.0, 50.0, trigger="enter"),
+            GeofenceRule("b", 120.0, 100.0, 50.0, trigger="enter"),
+        )
+        graph = build_city_graph(rules)
+        tap = ApplicationSink("tap", SENSOR_KINDS + (ALERT_KIND,))
+        graph.add(tap)
+        graph.connect("geofence", "tap", "in")
+        batches = []
+        receive_batch = tap.receive_batch
+
+        def spy(port_name, datums):
+            batches.append([d.kind for d in datums])
+            receive_batch(port_name, datums)
+
+        tap.receive_batch = spy
+        engine = PositioningEngine(graph)
+        for target, x in (("t1", 100.0), ("t2", 110.0)):
+            engine.track(target, "city-src")
+            engine.submit(target, self.gps(x, 100.0, 0))
+        engine.drain_round()
+        # Both lanes cross as one batch, and the geofence hands its
+        # outputs on together: routing takes them one kind at a time,
+        # each fix's alerts ahead of it.
+        assert batches == [[ALERT_KIND] * 4, [GPS_KIND] * 2]
+        assert [d.payload[:2] for d in tap.received[:4]] == [
+            ("a", "t1"),
+            ("b", "t1"),
+            ("a", "t2"),
+            ("b", "t2"),
+        ]
 
     def test_alert_ring_is_bounded(self):
         rule = GeofenceRule("zone", 100.0, 100.0, 50.0, trigger="both")
