@@ -11,8 +11,10 @@ only propagated if the next component explicitly accepts it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+import reprlib
+from dataclasses import FrozenInstanceError
+from operator import attrgetter
+from typing import Any, Mapping, Tuple
 
 
 class Kind:
@@ -37,7 +39,21 @@ class Kind:
     TRANSPORT_MODE = "transport-mode"  # classified movement mode
 
 
-@dataclass(frozen=True)
+class _FreshDict:
+    """The ``attributes`` default: a fresh ``{}`` for every datum built
+    without one, shown as a dataclass shows a ``default_factory``."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+_FRESH: Any = _FreshDict()
+
+_FIELDS = ("kind", "payload", "timestamp", "producer", "attributes")
+
+
 class Datum:
     """One unit of data travelling through the processing graph.
 
@@ -54,13 +70,68 @@ class Datum:
     attributes:
         Free-form annotations; features use this to associate extra data
         with an element without changing its type.
+
+    Behaves as a frozen dataclass of these five fields would: the same
+    signature and repr, field-wise ``==`` between datums
+    (``NotImplemented`` against any other class), the field tuple's
+    hash (so dict attributes make a datum unhashable), and
+    :class:`dataclasses.FrozenInstanceError` on assignment or deletion.
+    It is a ``__slots__`` class because every graph edge builds datums
+    (DESIGN.md §18): no per-instance ``__dict__``, and ``__init__`` sets
+    each field through its slot descriptor instead of one
+    ``object.__setattr__`` call per field.  It is not a tuple, so it is
+    neither iterable, sized nor orderable.
     """
+
+    __slots__ = _FIELDS
+    __match_args__ = _FIELDS
 
     kind: str
     payload: Any
     timestamp: float
-    producer: str = ""
-    attributes: Mapping[str, Any] = field(default_factory=dict)
+    producer: str
+    attributes: Mapping[str, Any]
+
+    def __init__(
+        self,
+        kind: str,
+        payload: Any,
+        timestamp: float,
+        producer: str = "",
+        attributes: Mapping[str, Any] = _FRESH,
+    ) -> None:
+        _set_kind(self, kind)
+        _set_payload(self, payload)
+        _set_timestamp(self, timestamp)
+        _set_producer(self, producer)
+        _set_attributes(self, {} if attributes is _FRESH else attributes)
+
+    @reprlib.recursive_repr()
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(kind={self.kind!r},"
+            f" payload={self.payload!r}, timestamp={self.timestamp!r},"
+            f" producer={self.producer!r}, attributes={self.attributes!r})"
+        )
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return _fields_of(self) == _fields_of(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(_fields_of(self))
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # Pickle and copy rebuild through __init__: the frozen
+        # __setattr__ would refuse the fields as slot state.
+        return (type(self), _fields_of(self))
 
     def attribute(self, key: str, default: Any = None) -> Any:
         """Look one annotation up; how trace/feature data is read back.
@@ -77,32 +148,26 @@ class Datum:
         Component Features use this in ``consume``/``produce`` hooks: the
         paper allows them to alter data but not to change its type.
         """
-        return Datum(
-            kind=self.kind,
-            payload=payload,
-            timestamp=self.timestamp,
-            producer=self.producer,
-            attributes=self.attributes,
-        )
+        return Datum(self.kind, payload, self.timestamp, self.producer, self.attributes)
 
     def annotated(self, **annotations: Any) -> "Datum":
         """Copy with extra attributes merged in."""
         merged = dict(self.attributes)
         merged.update(annotations)
-        return Datum(
-            kind=self.kind,
-            payload=self.payload,
-            timestamp=self.timestamp,
-            producer=self.producer,
-            attributes=merged,
-        )
+        return Datum(self.kind, self.payload, self.timestamp, self.producer, merged)
 
     def from_producer(self, producer: str) -> "Datum":
         """Copy re-attributed to ``producer``."""
-        return Datum(
-            kind=self.kind,
-            payload=self.payload,
-            timestamp=self.timestamp,
-            producer=producer,
-            attributes=self.attributes,
-        )
+        return Datum(self.kind, self.payload, self.timestamp, producer, self.attributes)
+
+
+#: A datum's five fields as a tuple, in declaration order.
+_fields_of = attrgetter(*_FIELDS)
+
+# The slot descriptors' setters: how ``Datum.__init__`` writes its
+# fields past the frozen ``__setattr__``.
+_set_kind = Datum.__dict__["kind"].__set__
+_set_payload = Datum.__dict__["payload"].__set__
+_set_timestamp = Datum.__dict__["timestamp"].__set__
+_set_producer = Datum.__dict__["producer"].__set__
+_set_attributes = Datum.__dict__["attributes"].__set__

@@ -280,11 +280,11 @@ class PositioningEngine:
         and injected through the batched dispatch path, in the same
         runs as :meth:`drain_round`.  This reproduces the original
         routing independent of the *current* scheduler cursor, so
-        restore does not have to reconstruct scheduler internals.  A lane untracked later in the journal is
-        skipped: the original round's effects on it are unreproducible
-        and irrelevant (its sink history died with it).  Restore
-        suspends the journal, so the replayed round is not journaled
-        again.
+        restore does not have to reconstruct scheduler internals.  A
+        lane untracked later in the journal is skipped: the original
+        round's effects on it are unreproducible and irrelevant (its
+        sink history died with it).  Restore suspends the journal, so
+        the replayed round is not journaled again.
         """
         lanes = self._lanes
         return self._round(
@@ -477,6 +477,17 @@ class PositioningEngine:
     def depth_total(self) -> int:
         """Datums currently pending across all lanes."""
         return sum(lane.queue.depth for lane in self._lane_list)
+
+    def lane_counters(self) -> Dict[str, Dict[str, int]]:
+        """Per target, the lane counters a control loop reads.
+
+        A narrow read of :meth:`snapshot`'s lane records (see
+        :meth:`~repro.runtime.queues.IngestionQueue.counters`).  The
+        scenario runner builds its per-tick view from it, so a tick pays
+        for seven counters per lane instead of a full stats dict per
+        lane and the dispatch plan.
+        """
+        return {lane.target_id: lane.queue.counters() for lane in self._lane_list}
 
     def snapshot(self) -> Dict[str, Any]:
         """Full reflective summary for the infrastructure report."""

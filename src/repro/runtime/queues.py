@@ -217,23 +217,30 @@ class IngestionQueue:
         """Total datums shed by backpressure (either end)."""
         return self.dropped_oldest + self.dropped_newest
 
-    def stats(self) -> Dict[str, Any]:
-        """Reflective summary -- what the PSL and the report surface."""
+    def counters(self) -> Dict[str, int]:
+        """The counters a control loop reads; :meth:`stats` adds the rest."""
         return {
-            "name": self.name,
-            "policy": self._policy,
             "capacity": self._capacity,
             "depth": len(self._items),
             "high_water": self.high_water,
-            "offered": self.offered,
-            "accepted": self.accepted,
             "rejected": self.rejected,
             "dropped_oldest": self.dropped_oldest,
             "dropped_newest": self.dropped_newest,
             "coalesced": self.coalesced,
-            "coalesce_collisions": dict(self.coalesce_collisions),
-            "drained": self.drained,
         }
+
+    def stats(self) -> Dict[str, Any]:
+        """Reflective summary -- what the PSL and the report surface."""
+        stats: Dict[str, Any] = self.counters()
+        stats.update(
+            name=self.name,
+            policy=self._policy,
+            offered=self.offered,
+            accepted=self.accepted,
+            coalesce_collisions=dict(self.coalesce_collisions),
+            drained=self.drained,
+        )
+        return stats
 
     # -- durability ----------------------------------------------------------
 

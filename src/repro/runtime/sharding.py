@@ -169,6 +169,7 @@ SHARD_OPS = (
     "export_lane",
     "install_lane",
     "snapshot",
+    "lane_counters",
     "component_health",
     "component_stats",
     "metrics_snapshot",
@@ -298,6 +299,9 @@ class InProcessShard(_ShardBase):
 
     def snapshot(self) -> Dict[str, Any]:
         return self.engine.snapshot()
+
+    def lane_counters(self) -> Dict[str, Dict[str, int]]:
+        return self.engine.lane_counters()
 
     def component_health(self) -> Dict[str, str]:
         supervisor = self.graph.supervisor
@@ -976,6 +980,24 @@ class ShardedEngine:
                 merged[target_id] = stats
         return merged
 
+    def lane_counters(self) -> Dict[str, Dict[str, int]]:
+        """Every tracked target's lane counters, annotated with its shard.
+
+        The narrow twin of :meth:`ingestion_lanes` that a per-tick
+        control view reads: one :meth:`PositioningEngine.lane_counters`
+        record per target, plus ``shard``, from one ``lane_counters``
+        call per shard instead of a full ``snapshot``.
+        """
+        merged: Dict[str, Dict[str, int]] = {}
+        for shard, counters in zip(
+            self._shards, self._per_shard(lambda s: s.lane_counters(), {})
+        ):
+            shard_id = shard.shard_id
+            for record in counters.values():
+                record["shard"] = shard_id
+            merged.update(counters)
+        return merged
+
     def component_health(self) -> Dict[str, str]:
         """Worst-of breaker health per component name, across shards.
 
@@ -1011,10 +1033,7 @@ class ShardedEngine:
 
     def pending_total(self) -> int:
         """Datums pending across all shards (degraded ones included)."""
-        return sum(
-            snap.get("pending", 0)
-            for snap in self._per_shard(lambda s: s.snapshot(), {})
-        )
+        return sum(record["depth"] for record in self.lane_counters().values())
 
     def snapshot(self) -> Dict[str, Any]:
         """Merged reflective summary: the coordinator's report surface."""

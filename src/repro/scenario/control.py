@@ -349,7 +349,9 @@ class RebalanceController(Controller):
     per-shard pending depths and per-lane shard annotations); a shard
     whose pending backlog exceeds ``imbalance`` times the mean of the
     others triggers one warm handoff of its deepest lane to the
-    least-loaded shard, then cools down.
+    least-loaded healthy shard, then cools down.  Shards the view lists
+    as ``degraded`` never receive a lane (the handoff would refuse
+    them); with no healthy shard to receive one, nothing moves.
     """
 
     name = "rebalance"
@@ -380,13 +382,17 @@ class RebalanceController(Controller):
         if tick < self._cooldown_until:
             return []
         hottest = max(sorted(shards), key=lambda s: shards[s])
-        coolest = min(sorted(shards), key=lambda s: shards[s])
         others = [p for s, p in shards.items() if s != hottest]
         mean_others = sum(others) / len(others) if others else 0.0
         if shards[hottest] < self.min_pending:
             return []
         if shards[hottest] <= self.imbalance * max(mean_others, 1.0):
             return []
+        degraded = set(view.get("degraded", ()))
+        healthy = [s for s in sorted(shards) if s != hottest and s not in degraded]
+        if not healthy:
+            return []
+        coolest = min(healthy, key=lambda s: shards[s])
         lanes = view.get("lanes", {})
         candidates = [
             (stats.get("depth", 0), target)

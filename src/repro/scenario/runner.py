@@ -123,20 +123,20 @@ class ScenarioRunner:
 
     # -- the per-tick view --------------------------------------------------
 
-    def _lane_stats(self) -> Dict[str, Dict[str, Any]]:
-        if self._sharded:
-            return self.engine.ingestion_lanes()
-        return {lane.target_id: lane.stats() for lane in self.engine.lanes()}
-
     def view(self, tick: int, drained_round: int) -> Dict[str, Any]:
         """Assemble the round's observation for the control loop.
 
         Controller-visible figures are engine-flavour-independent sums
-        (plus per-shard extras only the rebalance controller reads), so
-        the same workload yields the same ledger on a single engine and
-        an in-process sharded engine.
+        (plus per-shard extras only the rebalance controller reads:
+        ``shards`` backlogs, ``degraded`` shard ids and each lane's
+        ``shard``), so the same workload yields the same ledger on a
+        single engine and an in-process sharded engine.  ``lanes`` maps
+        each target to the seven lane counters the runner and the stock
+        controllers read
+        (:meth:`~repro.runtime.engine.PositioningEngine.lane_counters`),
+        not the full stats ``ingestion_lanes`` carries.
         """
-        lanes = self._lane_stats()
+        lanes = self.engine.lane_counters()
         dropped = self._retired_dropped + sum(
             s.get("dropped_oldest", 0) + s.get("dropped_newest", 0)
             for s in lanes.values()
@@ -167,6 +167,7 @@ class ScenarioRunner:
                         shards.get(shard_id, 0) + stats.get("depth", 0)
                     )
             view["shards"] = shards
+            view["degraded"] = self.engine.degraded()
         return view
 
     # -- the run ------------------------------------------------------------
@@ -182,7 +183,7 @@ class ScenarioRunner:
                 policy=self.policy,
             )
         if batch.left:
-            stats_before = self._lane_stats()
+            stats_before = self.engine.lane_counters()
             for device_id in batch.left:
                 stats = stats_before.get(device_id, {})
                 self._retired_dropped += stats.get(
@@ -269,7 +270,7 @@ class ScenarioRunner:
     def result(self) -> Dict[str, Any]:
         """The figures E17 gates on, plus context for the report."""
         generator = self.generator.snapshot()
-        lanes = self._lane_stats()
+        lanes = self.engine.lane_counters()
         dropped = self._retired_dropped + sum(
             s.get("dropped_oldest", 0) + s.get("dropped_newest", 0)
             for s in lanes.values()

@@ -12,13 +12,14 @@ closed-loop behaviour, and the middleware surfaces (``enable_scenario``,
 import pytest
 
 from repro.core.component import ApplicationSink
+from repro.core.data import Datum
 from repro.core.middleware import PerPos
 from repro.core.report import infrastructure_snapshot, render_report
 from repro.energy.entracked import PowerStrategyFeature
 from repro.gateway.wire import PHONE_TRACKER_V1
 from repro.observability import ObservabilityHub
 from repro.robustness import SupervisionPolicy, Supervisor
-from repro.runtime import PositioningEngine
+from repro.runtime import PositioningEngine, ShardedEngine
 from repro.runtime.scheduler import RoundRobinScheduler
 from repro.scenario import (
     ALERT_KIND,
@@ -50,7 +51,13 @@ def batch_key(batch):
         tuple(batch.joined),
         tuple(batch.left),
         tuple(
-            (device_id, d.kind, d.payload, d.timestamp, tuple(sorted(d.attributes.items())))
+            (
+                device_id,
+                d.kind,
+                d.payload,
+                d.timestamp,
+                tuple(sorted(d.attributes.items())),
+            )
             for device_id, d in batch.events
         ),
         batch.suppressed,
@@ -564,6 +571,28 @@ class TestRebalanceController:
         view = {"tick": 0, "shards": {0: 500}, "lanes": {}}
         assert controller.evaluate(view, RecordingActuators()) == []
 
+    def test_degraded_shards_never_receive_a_lane(self):
+        controller = RebalanceController(min_pending=32)
+        actuators = RecordingActuators()
+        view = self.sharded_view()
+        view["shards"] = {0: 100, 1: 2, 2: 5}
+        view["degraded"] = [1]
+        [decision] = controller.evaluate(view, actuators)
+        assert decision["params"]["to"] == 2
+        assert actuators.calls == [("migrate", "hot", 2)]
+
+    def test_no_healthy_destination_no_decision(self):
+        controller = RebalanceController(min_pending=32)
+        actuators = RecordingActuators()
+        view = self.sharded_view()
+        view["degraded"] = [1]
+        assert controller.evaluate(view, actuators) == []
+        assert actuators.calls == []
+        # No cooldown was started: a healed shard takes the lane next tick.
+        view = self.sharded_view(tick=1)
+        view["degraded"] = []
+        assert controller.evaluate(view, actuators)[0]["params"]["to"] == 1
+
     def test_rejects_bad_imbalance(self):
         with pytest.raises(ControlError):
             RebalanceController(imbalance=1.0)
@@ -717,6 +746,65 @@ class TestScenarioRunner:
         assert snapshot["progress"]["ticks"] == 10
         assert snapshot["progress"]["submitted"] == runner.submitted
         assert snapshot["generator"]["seed"] == 19
+
+
+class TestShardedView:
+    """The per-tick view on a sharded engine, read and acted on."""
+
+    @staticmethod
+    def sharded(control=None):
+        engine = ShardedEngine(build_city_graph, 2)
+        generator = CityGenerator(CityConfig(seed=3, devices=4))
+        return engine, ScenarioRunner(generator, engine, control=control)
+
+    def test_view_reads_lane_counters_not_snapshots(self):
+        engine, runner = self.sharded()
+        with engine:
+            for n in range(3):
+                engine.track(f"t{n}", "city-src", capacity=4, shard=n % 2)
+                for i in range(6):
+                    engine.submit(f"t{n}", Datum(GPS_KIND, i, float(i)))
+            calls = []
+            for shard in engine.shards():
+                for op in ("snapshot", "lane_counters"):
+                    method = getattr(shard, op)
+
+                    def counted(*args, _op=op, _method=method, **kwargs):
+                        calls.append(_op)
+                        return _method(*args, **kwargs)
+
+                    setattr(shard, op, counted)
+            view = runner.view(0, 0)
+            assert calls == ["lane_counters", "lane_counters"]
+            assert view["lanes"] == engine.lane_counters()
+            assert view["lanes"]["t0"]["dropped_oldest"] == 2
+            assert view["shards"] == {0: 8, 1: 4}
+            assert view["pending"] == 12
+            assert view["dropped_total"] == 6
+            assert view["degraded"] == []
+
+    def test_rebalance_onto_a_degraded_shard_does_not_end_the_run(self):
+        # Shard 0 holds four lanes with 80 pending datums; shard 1 has
+        # one idle lane and is degraded, so no shard can take a lane.
+        control = ControlLoop([RebalanceController()])
+        engine, runner = self.sharded(control)
+        with engine:
+            for n in range(4):
+                engine.track(f"hot{n}", "city-src", capacity=32, shard=0)
+                for i in range(20):
+                    engine.submit(f"hot{n}", Datum(GPS_KIND, i, float(i)))
+            engine.track("idle", "city-src", shard=1)
+            engine.shard(1).mark_degraded("marked degraded")
+            actuators = Actuators(migrate_target=engine.migrate_target)
+            view = runner.view(0, 0)
+            assert view["shards"] == {0: 80, 1: 0}
+            assert view["degraded"] == [1]
+            assert control.step(view, actuators) == []
+            assert engine.assignments()["hot3"] == 0
+            engine.restore_shard(1)
+            [decision] = control.step(runner.view(1, 0), actuators)
+            assert (decision["target"], decision["params"]["to"]) == ("hot3", 1)
+            assert engine.assignments()["hot3"] == 1
 
 
 class TestMiddlewareSurfaces:

@@ -814,6 +814,127 @@ class TestWorkerLoopOnThreads:
         assert not worker.is_alive()
 
 
+#: What ``lane_counters()`` returns per target (plus ``shard`` when sharded).
+COUNTER_KEYS = (
+    "capacity",
+    "depth",
+    "high_water",
+    "rejected",
+    "dropped_oldest",
+    "dropped_newest",
+    "coalesced",
+)
+
+
+def _projected(lanes):
+    """Full lane stats cut down to the counter keys (and ``shard``)."""
+    return {
+        target: {
+            key: stats[key]
+            for key in COUNTER_KEYS + (("shard",) if "shard" in stats else ())
+        }
+        for target, stats in lanes.items()
+    }
+
+
+def _counter_checkpoints(engine, full_stats, sharded):
+    """Drops, coalescing, ``block`` rejections, a drain, an untrack and
+    (sharded) a migration, checking ``lane_counters()`` against the full
+    lane stats after each; returns the number of checkpoints."""
+    lanes = (
+        ("old", 2, "drop_oldest"),
+        ("new", 2, "drop_newest"),
+        ("blk", 2, "block"),
+        ("coal", 4, "coalesce"),
+        ("gone", 8, "drop_oldest"),
+        ("mover", 8, "drop_oldest"),
+    )
+    for n, (target, capacity, policy) in enumerate(lanes):
+        pin = {"shard": n % 2} if sharded else {}
+        engine.track(target, "src", capacity=capacity, policy=policy, **pin)
+    checks = 0
+
+    def check():
+        nonlocal checks
+        counters = engine.lane_counters()
+        assert counters == _projected(full_stats())
+        keys = set(COUNTER_KEYS) | ({"shard"} if sharded else set())
+        assert all(set(record) == keys for record in counters.values())
+        if sharded:
+            depth = sum(record["depth"] for record in counters.values())
+            assert engine.pending_total() == depth
+        checks += 1
+        return counters
+
+    check()
+    for i in range(5):
+        for target, _capacity, _policy in lanes:
+            engine.submit(target, datum(i, t=float(i)))
+    counters = check()
+    assert counters["old"]["dropped_oldest"] == 3
+    assert counters["new"]["dropped_newest"] == 3
+    assert counters["blk"]["rejected"] == 3
+    assert counters["coal"]["coalesced"] == 4
+    engine.drain_round()
+    engine.set_policy("old", capacity=5)
+    check()
+    engine.untrack("gone")
+    assert "gone" not in check()
+    if sharded:
+        assert engine.migrate_target("mover", 0)["datums"] > 0
+        assert check()["mover"]["shard"] == 0
+    engine.drain_all()
+    assert all(record["depth"] == 0 for record in check().values())
+    return checks
+
+
+class TestLaneCounters:
+    """``lane_counters()``: the narrow lane read the control view takes."""
+
+    def test_positioning_engine(self):
+        engine = PositioningEngine(recipe(), scheduler=RoundRobinScheduler(2))
+
+        def full_stats():
+            return {lane.target_id: lane.stats() for lane in engine.lanes()}
+
+        assert _counter_checkpoints(engine, full_stats, sharded=False) == 5
+
+    def test_inprocess_sharded_engine(self):
+        with ShardedEngine(recipe, 2, scheduler=("round_robin", 2)) as engine:
+            checks = _counter_checkpoints(engine, engine.ingestion_lanes, True)
+        assert checks == 6
+
+    def test_thread_piped_worker(self):
+        context = ThreadContext()
+        with ShardedEngine(
+            recipe,
+            2,
+            executor="multiprocessing",
+            mp_context=context,
+            scheduler=("round_robin", 2),
+        ) as engine:
+            checks = _counter_checkpoints(engine, engine.ingestion_lanes, True)
+        assert checks == 6
+        assert not any(w.is_alive() for w in context.workers)
+
+    def test_one_lane_counters_call_per_shard_and_no_snapshot(self):
+        with ShardedEngine(recipe, 2) as engine:
+            fill(engine, targets=4, per_target=2)
+            calls = Counter()
+            for shard in engine.shards():
+                for op in ("snapshot", "lane_counters"):
+                    method = getattr(shard, op)
+
+                    def counted(*args, _op=op, _method=method, **kwargs):
+                        calls[_op] += 1
+                        return _method(*args, **kwargs)
+
+                    setattr(shard, op, counted)
+            assert len(engine.lane_counters()) == 4
+            assert engine.pending_total() == 8
+        assert calls == {"lane_counters": 4}
+
+
 @pytest.mark.multiproc
 class TestMultiprocessingExecutor:
     def test_roundtrip_matches_inprocess(self):
